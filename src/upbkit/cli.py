@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -18,7 +19,7 @@ import numpy as np
 from . import qutrit
 from .filtering import EquivalentPairError, GapSearchConfig, certify_gap
 from .graphs import enumerate_colorings, enumerate_valid_party_graphs
-from .product_search import SearchConfig, Subspace, find_product_vectors
+from .product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
 from .serialize import (
     SCHEMA_VERSION,
     dumps_report,
@@ -27,7 +28,7 @@ from .serialize import (
     upb_to_document,
     vector_to_lists,
 )
-from .upb import CanonicalAngles, build_canonical, canonicalize, equivalent, state_of, validate
+from .upb import canonicalize, equivalent, state_of, validate
 
 DEFAULT_SEED = SearchConfig().seed
 
@@ -49,14 +50,10 @@ class _Parser(argparse.ArgumentParser):
 def load_upb_spec(spec: str):
     """A UPB from ``canonical:tA,tB,tC``, a bundled name, or a JSON file path."""
     if spec.startswith("canonical:"):
-        parts = spec[len("canonical:"):].split(",")
-        if len(parts) != 3:
-            raise UsageError(f"canonical shorthand needs three angles, got {spec!r}")
         try:
-            angles = CanonicalAngles(*(float(p) for p in parts))
+            return upb_from_document({"canonical": spec[len("canonical:"):].split(",")})
         except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        return build_canonical(angles)
+            raise UsageError(f"bad canonical spec {spec!r}: {exc}") from exc
     if spec in qutrit.BUNDLED:
         return qutrit.bundled_upb(spec)
     try:
@@ -80,15 +77,17 @@ def _parse_partition(text: str | None, n_parties: int):
             groups.append(tuple(int(p) for p in chunk.split(",")))
         except ValueError as exc:
             raise UsageError(f"bad partition {text!r}: {exc}") from exc
-    return groups
-
-
-def _search_config(args) -> SearchConfig:
     try:
-        return SearchConfig(
-            grid_resolution=args.grid,
-            residual_tol=args.tol,
-            seed=args.seed,
+        return normalize_partition(groups, n_parties)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _search_config(args, base: SearchConfig = SearchConfig()) -> SearchConfig:
+    """``base`` with the --grid, --tol and --seed flags applied."""
+    try:
+        return dataclasses.replace(
+            base, grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -277,18 +276,8 @@ def _run_certify(args):
 
 def _run_qutrit_extras(args):
     upb = load_upb_spec(args.upb)
-    config = SearchConfig(
-        grid_resolution=args.grid,
-        residual_tol=args.tol,
-        max_iterations=qutrit.QUTRIT_SEARCH.max_iterations,
-        seed=args.seed,
-    )
-    sub = Subspace(upb.dims, upb.span_basis)
-    all_hits = find_product_vectors(sub, [(0,), (1,)], config)
-    extras = [
-        h for h in all_hits
-        if not any(h.matches(m.factors, config.dedup_tol) for m in upb.members)
-    ]
+    config = _search_config(args, qutrit.QUTRIT_SEARCH)
+    all_hits, extras = qutrit.extra_product_vectors(upb, config)
     doc = {
         "dims": list(upb.dims),
         "total_product_vectors": len(all_hits),

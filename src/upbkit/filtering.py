@@ -37,6 +37,15 @@ def _spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _top_gram_eigenvalue(filters: Sequence[LocalFilter], scales) -> float:
+    """Largest eigenvalue of ``sum_k s_k^2 X_k^dag X_k``."""
+    total = np.zeros((8, 8), dtype=complex)
+    for f, s in zip(filters, scales):
+        op = f.operator * s
+        total += op.conj().T @ op
+    return np.linalg.eigvalsh(total).max()
+
+
 class LocalFilter:
     """A product operator with each 2x2 factor normalized to spectral norm 1."""
 
@@ -101,11 +110,7 @@ class SeparableSuperoperator:
             raise ValueError(f"ensemble exceeds the {ENSEMBLE_CAP}-term cap")
         if any(s < 0 for s in scales):
             raise ValueError("scales must be non-negative")
-        total = np.zeros((8, 8), dtype=complex)
-        for f, s in zip(filters, scales):
-            op = f.operator * s
-            total += op.conj().T @ op
-        excess = np.linalg.eigvalsh(total).max() - 1.0
+        excess = _top_gram_eigenvalue(filters, scales) - 1.0
         if excess > 1e-9:
             raise ValueError(f"sum of X^dag X exceeds identity by {excess}")
         object.__setattr__(self, "filters", filters)
@@ -121,11 +126,7 @@ class SeparableSuperoperator:
         if scales is None:
             scales = [1.0] * len(filters)
         scales = np.asarray([float(s) for s in scales])
-        total = np.zeros((8, 8), dtype=complex)
-        for f, s in zip(filters, scales):
-            op = f.operator * s
-            total += op.conj().T @ op
-        top = np.linalg.eigvalsh(total).max()
+        top = _top_gram_eigenvalue(filters, scales)
         if top <= 0:
             raise ValueError("all scales are zero")
         return cls(filters, scales / math.sqrt(top))
@@ -193,6 +194,20 @@ def span_overlap(target: UPB, rho: DensityMatrix | np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _boundary_coefficients(upb: UPB, member: int) -> np.ndarray:
+    """Per party, the source state's weight ``<S'|rho|S'>`` on the member with
+    that party's factor flipped to its perpendicular."""
+    rho = state_of(upb).matrix
+    member_factors = upb.members[member].factors
+    coeffs = []
+    for party in range(3):
+        flipped = list(member_factors)
+        flipped[party] = perp_qubit(member_factors[party])
+        probe = kron_all(flipped)
+        coeffs.append(float((probe.conj() @ rho @ probe).real))
+    return np.array(coeffs)
+
+
 def boundary_limit(
     upb: UPB,
     member: int,
@@ -221,15 +236,11 @@ def boundary_limit(
     perturbations = [np.asarray(q, dtype=complex).reshape(2) for q in perturbations]
     targets = [t / np.linalg.norm(t) for t in targets]
     perturbations = [q / np.linalg.norm(q) for q in perturbations]
-    rho = state_of(upb).matrix
-    member_factors = upb.members[member].factors
+    coeffs = _boundary_coefficients(upb, member)
     out = np.zeros((8, 8), dtype=complex)
     norm = 0.0
     for party in range(3):
-        flipped = list(member_factors)
-        flipped[party] = perp_qubit(member_factors[party])
-        probe = kron_all(flipped)
-        coeff = float((probe.conj() @ rho @ probe).real) * weights[party]
+        coeff = coeffs[party] * weights[party]
         mixture_factors = list(targets)
         mixture_factors[party] = perturbations[party]
         psi = kron_all(mixture_factors)
@@ -428,15 +439,7 @@ def _qubit_from_tp(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _boundary_objective(upb: UPB, member: int, proj: np.ndarray):
-    rho = state_of(upb).matrix
-    member_factors = upb.members[member].factors
-    coeffs = []
-    for party in range(3):
-        flipped = list(member_factors)
-        flipped[party] = perp_qubit(member_factors[party])
-        probe = kron_all(flipped)
-        coeffs.append(float((probe.conj() @ rho @ probe).real))
-    coeffs = np.array(coeffs)
+    coeffs = _boundary_coefficients(upb, member)
 
     def objective(params: np.ndarray) -> np.ndarray:
         # 6 states (a, b, c, alpha, beta, gamma) as (t, phi) pairs + 3 raw weights

@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .linalg import orthonormality_error
+
 K5_EDGES: tuple[tuple[int, int], ...] = tuple(
     (i, j) for i in range(5) for j in range(i + 1, 5)
 )
@@ -80,9 +82,6 @@ class PartyGraph:
             if best is None or relabeled < best:
                 best = relabeled
         return best if best is not None else ()
-
-    def isomorphic_to(self, other: "PartyGraph") -> bool:
-        return self.n == other.n and self.canonical_form() == other.canonical_form()
 
 
 @dataclass(frozen=True)
@@ -222,10 +221,6 @@ def _random_qubit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-
-
 def _bipartition(g: PartyGraph, comp: list[int]) -> dict[int, int]:
     adj = g.adjacency()
     color = {comp[0]: 0}
@@ -256,7 +251,7 @@ def realize_coloring(
     to the free relations: overlaps across different components of the same
     party are resampled into (margin, 1 - margin).
     """
-    from .upb import ProductState
+    from .upb import ProductState, perp_qubit
 
     rng = np.random.default_rng(seed)
     party_states: list[list[np.ndarray]] = []
@@ -268,7 +263,7 @@ def realize_coloring(
             for comp in comps:
                 side = _bipartition(g, comp)
                 v = _random_qubit(rng)
-                vp = _perp(v)
+                vp = perp_qubit(v)
                 for vertex in comp:
                     states[vertex] = v if side[vertex] == 0 else vp
             comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
@@ -293,8 +288,7 @@ def realize_coloring(
     members = [
         ProductState([party_states[p][v] for p in range(3)]) for v in range(5)
     ]
-    gram = np.array([m.tensor for m in members])
-    err = np.abs(gram @ gram.conj().T - np.eye(5)).max()
+    err = orthonormality_error(np.array([m.tensor for m in members]))
     if err > 1e-12:
         raise RealizationError(f"realization not orthonormal (error {err})")
     return members

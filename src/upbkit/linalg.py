@@ -99,12 +99,8 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims})"
 
 
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product of two matrices."""
-    return np.kron(_as_complex_matrix(a, "a"), _as_complex_matrix(b, "b"))
-
-
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
+    """Kronecker product of vectors or matrices, left to right."""
     out = None
     for f in factors:
         f = np.asarray(f, dtype=complex)

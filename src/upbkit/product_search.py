@@ -16,9 +16,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import complement_basis
+from .linalg import complement_basis, kron_all, orthonormality_error
 
 DEFAULT_SEED = 101
+# two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
+DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -27,20 +29,20 @@ class SearchConfig:
 
     ``grid_resolution`` scales the number of starts (resolution^2 per polar
     angle); raising it only adds starts, so hits found at a lower resolution
-    are kept when re-seeded via ``seed_hits``.
+    are kept when re-seeded via ``seed_hits``.  Hits are deduplicated up to
+    global phase at the fixed ``DEDUP_TOL``.
     """
 
     grid_resolution: int = 16
     residual_tol: float = 1e-9
     max_iterations: int = 60
-    dedup_tol: float = 1e-6
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise ValueError("grid_resolution must be at least 8")
-        if self.residual_tol <= 0 or self.dedup_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.residual_tol <= 0:
+            raise ValueError("residual_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -58,8 +60,7 @@ class Subspace:
         total = int(np.prod(dims))
         if basis.shape[0] != total:
             raise ValueError(f"basis lives in dimension {basis.shape[0]}, dims give {total}")
-        gram = basis.conj().T @ basis
-        if np.abs(gram - np.eye(basis.shape[1])).max() > 1e-12:
+        if orthonormality_error(basis.T) > 1e-12:
             raise ValueError("basis columns are not orthonormal within 1e-12")
         basis = basis.copy()
         basis.setflags(write=False)
@@ -90,10 +91,6 @@ class Subspace:
         return self.basis.shape[0]
 
     @property
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    @property
     def perp_basis(self) -> np.ndarray:
         cached = self._perp_basis
         if cached is None:
@@ -101,11 +98,6 @@ class Subspace:
             cached.setflags(write=False)
             object.__setattr__(self, "_perp_basis", cached)
         return cached
-
-    @property
-    def perp_projector(self) -> np.ndarray:
-        d = self.total_dim
-        return np.eye(d, dtype=complex) - self.projector
 
     def complement(self) -> "Subspace":
         return Subspace(self.dims, self.perp_basis)
@@ -141,15 +133,6 @@ def _interleave(dims, partition, group_vectors: list[np.ndarray]) -> np.ndarray:
     return out.reshape(out.shape[0], -1)
 
 
-def group_factor(member_factors: Sequence[np.ndarray], group: tuple[int, ...]) -> np.ndarray:
-    """Kron of a member's per-party factors over one partition group."""
-    out = None
-    for p in group:
-        f = np.asarray(member_factors[p], dtype=complex)
-        out = f if out is None else np.kron(out, f)
-    return out
-
-
 @dataclass(frozen=True)
 class ProductVectorHit:
     """A product vector found inside the subspace, factored per group."""
@@ -167,11 +150,11 @@ class ProductVectorHit:
     def overlaps(self, member_factors: Sequence[np.ndarray]) -> tuple[float, ...]:
         """Per-group |<hit factor | member factor>| against per-party factors."""
         return tuple(
-            float(abs(np.vdot(group_factor(member_factors, g), f)))
+            float(abs(np.vdot(kron_all(member_factors[p] for p in g), f)))
             for g, f in zip(self.partition, self.factors)
         )
 
-    def matches(self, member_factors: Sequence[np.ndarray], tol: float = 1e-6) -> bool:
+    def matches(self, member_factors: Sequence[np.ndarray], tol: float = DEDUP_TOL) -> bool:
         return all(ov >= 1 - tol for ov in self.overlaps(member_factors))
 
 
@@ -369,7 +352,7 @@ def find_product_vectors(
         dup = False
         for kept in hits:
             if all(
-                abs(np.vdot(a, b)) > 1 - config.dedup_tol
+                abs(np.vdot(a, b)) > 1 - DEDUP_TOL
                 for a, b in zip(kept.factors, factors)
             ):
                 dup = True
@@ -395,7 +378,7 @@ def is_extendible(members, config: SearchConfig | None = None) -> ProductVectorH
         raise ValueError("need at least one member")
     dims = members[0].dims
     stack = np.array([m.tensor for m in members])
-    gram_err = np.abs(stack @ stack.conj().T - np.eye(len(members))).max()
+    gram_err = orthonormality_error(stack)
     if gram_err > 1e-10:
         raise ValueError(f"members are not orthonormal (error {gram_err})")
     comp = complement_basis(stack.T)

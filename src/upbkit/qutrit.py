@@ -21,34 +21,22 @@ BUNDLED = ("tiles", "pyramid")
 QUTRIT_SEARCH = SearchConfig(grid_resolution=12, max_iterations=40)
 
 
-def load_upb(document) -> UPB:
-    """Validated UPB from a parsed document, a JSON string, or a file path."""
-    if isinstance(document, str):
-        text = document.strip()
-        if text.startswith("{"):
-            document = json.loads(text)
-        else:
-            with open(document, "r", encoding="utf-8") as fh:
-                document = json.load(fh)
-    return upb_from_document(document)
-
-
 def bundled_upb(name: str) -> UPB:
     if name not in BUNDLED:
         raise ValueError(f"unknown bundled UPB {name!r}; available: {BUNDLED}")
     text = resources.files("upbkit.data").joinpath(f"{name}.json").read_text()
-    return load_upb(json.loads(text))
+    return upb_from_document(json.loads(text))
 
 
-def extra_product_vectors(upb: UPB, config: SearchConfig | None = None) -> list[ProductVectorHit]:
-    """Product vectors in the span that are not members, for the bipartite
-    partition of a two-party UPB."""
+def extra_product_vectors(
+    upb: UPB, config: SearchConfig | None = None
+) -> tuple[list[ProductVectorHit], list[ProductVectorHit]]:
+    """Product vectors in the span of a two-party UPB, for the bipartite
+    partition: ``(hits, extras)``, where ``hits`` is every vector the search
+    found (members included) and ``extras`` those that are not members."""
     if len(upb.dims) != 2:
         raise ValueError("extra-vector search expects a two-party UPB")
-    config = config or QUTRIT_SEARCH
     sub = Subspace(upb.dims, upb.span_basis)
-    hits = find_product_vectors(sub, [(0,), (1,)], config)
-    return [
-        h for h in hits
-        if not any(h.matches(m.factors, config.dedup_tol) for m in upb.members)
-    ]
+    hits = find_product_vectors(sub, [(0,), (1,)], config or QUTRIT_SEARCH)
+    extras = [h for h in hits if not any(h.matches(m.factors) for m in upb.members)]
+    return hits, extras

@@ -39,10 +39,6 @@ def matrix_to_lists(m: np.ndarray) -> list[list[list[float]]]:
     return [[complex_to_pair(z) for z in row] for row in m]
 
 
-def matrix_from_lists(data) -> np.ndarray:
-    return np.array([[pair_to_complex(z) for z in row] for row in data], dtype=complex)
-
-
 def upb_to_document(upb) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
@@ -82,12 +78,6 @@ def upb_from_document(doc: dict):
                 raise ValueError(f"factor of length {f.shape[0]} does not match dim {d}")
         members.append(ProductState(factors))
     return UPB(members, dims=dims)
-
-
-def load_upb_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return upb_from_document(doc)
 
 
 def dumps_report(report: dict) -> str:

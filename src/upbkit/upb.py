@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graphs as graphs_mod
-from .linalg import DensityMatrix, complement_basis, kron_all, partial_trace
+from .linalg import DensityMatrix, complement_basis, kron_all, orthonormality_error, partial_trace
 
 ORTHONORMALITY_TOL = 1e-10
 FACTOR_NORM_TOL = 1e-12
@@ -104,7 +104,7 @@ class UPB:
         if dims is not None and tuple(int(d) for d in dims) != mdims:
             raise ValueError(f"declared dims {tuple(dims)} do not match members {mdims}")
         stack = np.array([m.tensor for m in members])
-        gram_err = float(np.abs(stack @ stack.conj().T - np.eye(len(members))).max())
+        gram_err = orthonormality_error(stack)
         if gram_err > ORTHONORMALITY_TOL:
             raise ValueError(f"members are not orthonormal within 1e-10 (error {gram_err})")
         span = stack.T.copy()
@@ -178,7 +178,7 @@ class EquivalenceWitness:
 
     def __post_init__(self):
         for u in self.unitaries:
-            if np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() > UNITARITY_TOL:
+            if orthonormality_error(u) > UNITARITY_TOL:
                 raise ValueError("witness factor is not unitary within 1e-10")
 
 
@@ -359,8 +359,7 @@ def validate(upb: UPB, config=None) -> ValidationReport:
     """
     from .product_search import is_extendible
 
-    stack = np.array([m.tensor for m in upb.members])
-    orth = float(np.abs(stack @ stack.conj().T - np.eye(upb.n)).max())
+    orth = orthonormality_error(np.array([m.tensor for m in upb.members]))
     prod_err = max(
         float(np.abs(m.tensor - kron_all(m.factors)).max()) for m in upb.members
     )

@@ -239,7 +239,7 @@ def test_criterion_9_two_qutrit_spans():
             sub = Subspace(u.dims, u.span_basis)
             hits = find_product_vectors(sub, [(0,), (1,)], QUTRIT_SEARCH)
             assert len(hits) == 6
-            extras = extra_product_vectors(u)
+            _, extras = extra_product_vectors(u)
             assert len(extras) == 1
             hit = extras[0]
             assert hit.residual <= 1e-9

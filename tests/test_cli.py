@@ -60,6 +60,9 @@ class TestExitCodes:
         assert main(["equiv", "--a", "canonical:1.0"]) == 3
         assert main(["no-such-command"]) == 3
         assert main(["build", "--angles", "0.0,1.0,1.0"]) == 3
+        assert main(["qutrit-extras", "--upb", "tiles", "--grid", "5"]) == 3
+        assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
+        assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
 
     def test_numerical_error_exit(self, tmp_path):
         doc = {"dims": [2, 2, 2], "members": [[[[1.0, 0.0], [0.0, 0.0]]] * 3] * 2}

@@ -18,7 +18,8 @@ from upbkit.filtering import (
     minimize_span_overlap,
     span_overlap,
 )
-from upbkit.linalg import PartitionCut, partial_transpose, trace_distance
+from upbkit.filtering import _boundary_objective, _filters_from_params, _interior_objective, _qubit_from_tp
+from upbkit.linalg import PartitionCut, fidelity_projector_form, partial_transpose, trace_distance
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
 
@@ -257,6 +258,40 @@ class TestBoundaryLimit:
         assert distances[0] > distances[1] > distances[2]
         assert distances[2] <= 1e-4
         assert span_overlap(third_class_upb, lim) > 0
+
+
+class TestObjectives:
+    """The batched optimizer objectives agree with the public functions they
+    stand in for, at random parameters."""
+
+    def test_boundary_objective_matches_boundary_limit(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(53)
+        proj = third_class_upb.span_projector
+        for member in range(shifts_class_upb.n):
+            objective = _boundary_objective(shifts_class_upb, member, proj)
+            for _ in range(5):
+                params = rng.standard_normal(15)
+                states = _qubit_from_tp(params[0:12:2], params[1:12:2])
+                lim = boundary_limit(
+                    shifts_class_upb, member, states[:3], states[3:], params[12:] ** 2
+                )
+                value = objective(params[None, :])[0]
+                assert abs(value - span_overlap(third_class_upb, lim)) < 1e-12
+
+    def test_interior_objectives_match_apply_filter(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(54)
+        rho = state_of(shifts_class_upb)
+        proj = third_class_upb.span_projector
+        perp = np.eye(8) - proj
+        overlap = _interior_objective(rho.matrix, proj, "overlap")
+        neg_fidelity = _interior_objective(rho.matrix, proj, "fidelity", perp)
+        for _ in range(5):
+            params = rng.standard_normal((1, 24))
+            filt = LocalFilter.from_raw(list(_filters_from_params(params)[0]))
+            state, p = apply_filter(filt, rho)
+            assert p > 1e-14
+            assert abs(overlap(params)[0] - span_overlap(third_class_upb, state)) < 1e-12
+            assert abs(neg_fidelity(params)[0] + fidelity_projector_form(perp, state)) < 1e-12
 
 
 class TestOptimizers:

@@ -10,14 +10,13 @@ from upbkit import (
     eigh,
     fidelity,
     fidelity_projector_form,
-    kron,
     partial_trace,
     partial_transpose,
     psd_sqrt,
     shifts,
     state_of,
 )
-from upbkit.linalg import random_density_matrix, trace_distance
+from upbkit.linalg import kron_all, random_density_matrix, trace_distance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -31,11 +30,11 @@ def bell_state():
 
 class TestKron:
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(kron_all([np.eye(2), np.eye(2)]), np.eye(4))
 
     def test_projectors(self):
         p = np.diag([1.0, 0.0])
-        assert np.array_equal(kron(p, p), np.diag([1.0, 0, 0, 0]))
+        assert np.array_equal(kron_all([p, p]), np.diag([1.0, 0, 0, 0]))
 
     def test_pauli_product(self):
         # direct 4x4 hand expansion of sigma_x (x) sigma_z
@@ -44,7 +43,7 @@ class TestKron:
         expected[1, 3] = -1
         expected[2, 0] = 1
         expected[3, 1] = -1
-        assert np.abs(kron(SX, SZ) - expected).max() == 0
+        assert np.abs(kron_all([SX, SZ]) - expected).max() == 0
 
 
 class TestPartialTrace:

@@ -4,8 +4,8 @@ import pytest
 from upbkit import validate
 from upbkit.linalg import PartitionCut, partial_transpose
 from upbkit.product_search import residual, Subspace
-from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors, load_upb
-from upbkit.serialize import upb_to_document
+from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
+from upbkit.serialize import upb_from_document, upb_to_document
 from upbkit.upb import state_of
 
 # the published extra product vectors (up to phase): |0>|0> for pyramid and
@@ -36,7 +36,7 @@ class TestLoading:
         doc = upb_to_document(tiles)
         doc["members"][0] = doc["members"][0][:1]
         with pytest.raises(ValueError):
-            load_upb(doc)
+            upb_from_document(doc)
 
     def test_unknown_bundle_rejected(self):
         with pytest.raises(ValueError):
@@ -45,13 +45,13 @@ class TestLoading:
     def test_load_from_json_string(self, tiles):
         import json
 
-        back = load_upb(json.dumps(upb_to_document(tiles)))
+        back = upb_from_document(json.loads(json.dumps(upb_to_document(tiles))))
         assert back.n == 5
 
 
 class TestExtraProductVectors:
     def test_tiles_extra(self, tiles):
-        extras = extra_product_vectors(tiles)
+        _, extras = extra_product_vectors(tiles)
         assert len(extras) == 1
         hit = extras[0]
         for f in hit.factors:
@@ -62,7 +62,7 @@ class TestExtraProductVectors:
         assert residual([TILES_EXTRA, TILES_EXTRA], Subspace(tiles.dims, tiles.span_basis)) <= 1e-9
 
     def test_pyramid_extra(self, pyramid):
-        extras = extra_product_vectors(pyramid)
+        _, extras = extra_product_vectors(pyramid)
         assert len(extras) == 1
         hit = extras[0]
         for f in hit.factors:
