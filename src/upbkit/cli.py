@@ -22,13 +22,14 @@ from .graphs import enumerate_colorings, enumerate_valid_party_graphs
 from .product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
 from .serialize import (
     SCHEMA_VERSION,
+    MalformedDocumentError,
     dumps_report,
     matrix_to_lists,
     upb_from_document,
     upb_to_document,
     vector_to_lists,
 )
-from .upb import canonicalize, equivalent, state_of, validate
+from .upb import canonicalize, match_canonical, state_of, validate
 
 DEFAULT_SEED = SearchConfig().seed
 
@@ -58,12 +59,11 @@ def load_upb_spec(spec: str):
         return qutrit.bundled_upb(spec)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return upb_from_document(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read UPB file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{spec!r} is not valid JSON: {exc}") from exc
-    return upb_from_document(doc)
+    except (json.JSONDecodeError, MalformedDocumentError) as exc:
+        raise UsageError(f"{spec!r} is not a UPB document: {exc}") from exc
 
 
 def _parse_partition(text: str | None, n_parties: int):
@@ -207,11 +207,12 @@ def _run_state(args):
 def _run_equiv(args):
     a = load_upb_spec(args.a)
     b = load_upb_spec(args.b)
-    witness = equivalent(a, b)
+    canon_a, canon_b = canonicalize(a), canonicalize(b)
+    witness = match_canonical(a, b, canon_a, canon_b)
     doc = {
         "equivalent": witness is not None,
-        "angles_a": list(canonicalize(a)[0].as_tuple()),
-        "angles_b": list(canonicalize(b)[0].as_tuple()),
+        "angles_a": list(canon_a[0].as_tuple()),
+        "angles_b": list(canon_b[0].as_tuple()),
         "witness": _witness_document(witness) if witness else None,
     }
     return (EXIT_OK if witness is not None else EXIT_NEGATIVE), doc

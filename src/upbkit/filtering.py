@@ -5,10 +5,11 @@ span; it vanishes only for states supported inside the target's bound
 entangled state, and stays bounded away from zero over the whole filtering
 orbit of an inequivalent source.  ``certify_gap`` estimates that gap and the
 matching fidelity ceiling by derivative-free multistart optimization over
-filter space, probing both interior filters and the closed-form separable
-states on the orbit boundary.  The resulting numbers are empirical upper
-estimates (multistart gives no lower-bound certificate) and are recorded as
-such.
+filter space.  Every closed-form limit state on the orbit boundary is a
+mixture of product states, so the boundary part of the witness minimum is the
+smallest weight a product state puts on the target's span, searched over
+three qubit states.  The resulting numbers are empirical upper estimates
+(multistart gives no lower-bound certificate) and are recorded as such.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _clip_spectrum, kron_all
+from .linalg import DensityMatrix, _sandwich_spectrum, kron_all
 from .product_search import DEFAULT_SEED
-from .upb import UPB, canonicalize, equivalent, perp_qubit, state_of
+from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
 PROBABILITY_FLOOR = 1e-14
 SPECTRAL_NORM_TOL = 1e-10
@@ -145,7 +146,12 @@ class OrbitPoint:
     kind: str = "interior"
 
 
-def _as_state(dims, out: np.ndarray, p: float) -> DensityMatrix:
+def _normalized(dims, out: np.ndarray) -> tuple[DensityMatrix | None, float]:
+    """``(out / p, p)`` with ``p = tr(out)``; ``(None, p)`` below the
+    probability floor, where the output state is undefined."""
+    p = float(out.trace().real)
+    if p <= PROBABILITY_FLOOR:
+        return None, max(p, 0.0)
     # X rho X^dag is PSD exactly; dividing by a small p amplifies kernel
     # rounding, so any negativity here is noise and is projected away
     out = (out + out.conj().T) / (2 * p)
@@ -154,7 +160,7 @@ def _as_state(dims, out: np.ndarray, p: float) -> DensityMatrix:
         w = np.clip(w, 0.0, None)
         out = (v * w) @ v.conj().T
         out = (out + out.conj().T) / (2 * out.trace().real)
-    return DensityMatrix(dims, out)
+    return DensityMatrix(dims, out), p
 
 
 def apply_filter(x: LocalFilter, rho: DensityMatrix) -> tuple[DensityMatrix | None, float]:
@@ -165,11 +171,7 @@ def apply_filter(x: LocalFilter, rho: DensityMatrix) -> tuple[DensityMatrix | No
     closed form by :func:`boundary_limit`, never by dividing by a tiny p.
     """
     op = x.operator
-    out = op @ rho.matrix @ op.conj().T
-    p = float(out.trace().real)
-    if p <= PROBABILITY_FLOOR:
-        return None, max(p, 0.0)
-    return _as_state(rho.dims, out, p), p
+    return _normalized(rho.dims, op @ rho.matrix @ op.conj().T)
 
 
 def apply_separable(e: SeparableSuperoperator, rho: DensityMatrix) -> tuple[DensityMatrix | None, float]:
@@ -177,10 +179,7 @@ def apply_separable(e: SeparableSuperoperator, rho: DensityMatrix) -> tuple[Dens
     total = np.zeros_like(rho.matrix)
     for op in e.kraus_operators():
         total = total + op @ rho.matrix @ op.conj().T
-    p = float(total.trace().real)
-    if p <= PROBABILITY_FLOOR:
-        return None, max(p, 0.0)
-    return _as_state(rho.dims, total, p), p
+    return _normalized(rho.dims, total)
 
 
 def span_overlap(target: UPB, rho: DensityMatrix | np.ndarray) -> float:
@@ -256,8 +255,9 @@ def boundary_limit(
 class GapSearchConfig:
     """Multistart budget for the gap optimizers.
 
-    ``budget`` counts objective evaluations per interior restart; boundary
-    probes get their own restart pool per UPB member.
+    ``budget`` counts objective evaluations per interior restart of each
+    optimizer.  The boundary probe is one pool of ``boundary_restarts``
+    searches over product states, ``boundary_budget`` evaluations each.
     """
 
     restarts: int = 200
@@ -406,11 +406,6 @@ def _kron3(fac: np.ndarray) -> np.ndarray:
     ).reshape(fac.shape[0], 8, 8)
 
 
-def _identity_params() -> np.ndarray:
-    one = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    return np.concatenate([one, one, one])
-
-
 def _interior_objective(rho_mat: np.ndarray, proj: np.ndarray, mode: str, perp: np.ndarray | None = None):
     def objective(params: np.ndarray) -> np.ndarray:
         fac = _filters_from_params(params)
@@ -422,10 +417,8 @@ def _interior_objective(rho_mat: np.ndarray, proj: np.ndarray, mode: str, perp: 
         if mode == "overlap":
             value = np.einsum("nij,ji->n", out, proj).real / safe_p
         else:  # negative fidelity to the normalized perp projector / 4
-            inner = perp @ (out / safe_p[:, None, None]) @ perp
-            inner = (inner + inner.conj().transpose(0, 2, 1)) / 2
-            w = _clip_spectrum(np.linalg.eigvalsh(inner))
-            value = -0.5 * np.sqrt(np.clip(w, 0.0, None)).sum(axis=1)
+            w = _sandwich_spectrum(perp, out / safe_p[:, None, None])
+            value = -0.5 * np.sqrt(w).sum(axis=1)
         return np.where(valid, value, _INVALID)
 
     return objective
@@ -438,111 +431,80 @@ def _qubit_from_tp(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_objective(upb: UPB, member: int, proj: np.ndarray):
-    coeffs = _boundary_coefficients(upb, member)
+def _product_objective(proj: np.ndarray):
+    """Weight ``<a,b,c|proj|a,b,c>`` of the product state whose three qubits
+    are given as ``(t, phi)`` pairs in (n, 6) parameters."""
 
     def objective(params: np.ndarray) -> np.ndarray:
-        # 6 states (a, b, c, alpha, beta, gamma) as (t, phi) pairs + 3 raw weights
-        t = params[:, 0:12:2]
-        phi = params[:, 1:12:2]
-        states = _qubit_from_tp(t, phi)  # (n, 6, 2)
-        w = params[:, 12:] ** 2
-        lam = coeffs[None, :] * w  # (n, 3)
-        total = np.zeros(params.shape[0])
-        denom = lam.sum(axis=1)
-        valid = denom > 1e-280
-        safe = np.where(valid, denom, 1.0)
-        for party in range(3):
-            mix = [states[:, 0], states[:, 1], states[:, 2]]
-            mix[party] = states[:, 3 + party]
-            psi = np.einsum("ni,nj,nk->nijk", mix[0], mix[1], mix[2]).reshape(-1, 8)
-            q = np.einsum("ni,ij,nj->n", psi.conj(), proj, psi).real
-            total = total + lam[:, party] * q
-        return np.where(valid, total / safe, _INVALID)
+        q = _qubit_from_tp(params[:, 0::2], params[:, 1::2])  # (n, 3, 2)
+        psi = np.einsum("ni,nj,nk->nijk", q[:, 0], q[:, 1], q[:, 2]).reshape(-1, 8)
+        return np.einsum("ni,ij,nj->n", psi.conj(), proj, psi).real
 
     return objective
 
 
-def _minimize_overlap_detailed(source: UPB, target: UPB, config: GapSearchConfig):
-    rho = state_of(source).matrix
-    proj = target.span_projector
-    rng = np.random.default_rng(config.seed)
-    starts = rng.standard_normal((config.restarts, 24))
-    starts[0] = _identity_params()
-    objective = _interior_objective(rho, proj, "overlap")
-    xi, fi = _pattern_search(objective, starts, config.budget)
-    boundary_best = np.inf
-    boundary_arg = None
-    boundary_optima = []
-    for member in range(source.n):
-        obj_b = _boundary_objective(source, member, proj)
-        b0 = np.empty((config.boundary_restarts, 15))
-        b0[:, 0:12:2] = rng.uniform(0.0, math.pi, (config.boundary_restarts, 6))
-        b0[:, 1:12:2] = rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 6))
-        b0[:, 12:] = rng.standard_normal((config.boundary_restarts, 3))
-        xb, fb = _pattern_search(obj_b, b0, config.boundary_budget)
-        boundary_optima.extend(fb.tolist())
-        k = int(np.argmin(fb))
-        if fb[k] < boundary_best:
-            boundary_best = float(fb[k])
-            boundary_arg = (member, xb[k])
-    k = int(np.argmin(fi))
-    interior_best = float(fi[k])
-    if interior_best <= boundary_best:
-        fac = _filters_from_params(xi[k][None, :])[0]
-        filt = LocalFilter.from_raw(list(fac))
-        state, p = apply_filter(filt, state_of(source))
-        point = OrbitPoint(filt, p, state, "interior")
-        best = interior_best
-    else:
-        member, xb = boundary_arg
-        t, phi = xb[0:12:2], xb[1:12:2]
-        states = _qubit_from_tp(t, phi)
-        weights = xb[12:] ** 2
-        targets = [states[0], states[1], states[2]]
-        perts = [states[3], states[4], states[5]]
-        state = boundary_limit(source, member, targets, perts, weights)
-        mf = source.members[member].factors
-        filt = LocalFilter.from_raw(
-            [np.outer(t_, f.conj()) for t_, f in zip(targets, mf)]
-        )
-        point = OrbitPoint(filt, 0.0, state, "boundary")
-        best = boundary_best
-    return max(best, 0.0), point, fi.tolist(), boundary_optima
+def _perp_projector(target: UPB) -> np.ndarray:
+    return np.eye(target.total_dim, dtype=complex) - target.span_projector
 
 
-def _maximize_fidelity_detailed(source: UPB, target: UPB, config: GapSearchConfig):
-    rho = state_of(source).matrix
-    d = source.total_dim
-    perp = np.eye(d, dtype=complex) - target.span_projector
-    rng = np.random.default_rng(config.seed + 1)
+def _interior_search(source: UPB, objective, rng: np.random.Generator, config: GapSearchConfig) -> tuple[OrbitPoint, np.ndarray]:
+    """Compass search from the identity filter plus ``restarts - 1`` random
+    ones; returns the orbit point of the best restart and every restart's
+    optimum."""
     starts = rng.standard_normal((config.restarts, 24))
-    starts[0] = _identity_params()
-    objective = _interior_objective(rho, target.span_projector, "fidelity", perp)
-    xi, fi = _pattern_search(objective, starts, config.budget)
-    k = int(np.argmin(fi))
-    fac = _filters_from_params(xi[k][None, :])[0]
+    starts[0] = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3)  # identity factors
+    x, fx = _pattern_search(objective, starts, config.budget)
+    fac = _filters_from_params(x[int(np.argmin(fx))][None, :])[0]
     filt = LocalFilter.from_raw(list(fac))
     state, p = apply_filter(filt, state_of(source))
-    point = OrbitPoint(filt, p, state, "interior")
-    best = min(max(-float(fi[k]), 0.0), 1.0)
-    return best, point, (-fi).tolist()
+    return OrbitPoint(filt, p, state, "interior"), fx
 
 
-def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint]:
+def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint, list, list]:
     """Empirical minimum of the witness functional over the filtering orbit
-    of ``source`` (interior filters plus boundary-limit probes)."""
+    of ``source`` and its boundary.
+
+    A boundary limit's witness value is a weighted mean of the weights its
+    three product states put on the target's span, and a limit with all
+    weight on one party is a single product state.  So the boundary infimum
+    is the minimum over product states, which one restart pool searches
+    directly.  Returns ``(delta, point, interior_optima, boundary_optima)``.
+    """
     config = config or GapSearchConfig()
-    best, point, _, _ = _minimize_overlap_detailed(source, target, config)
-    return best, point
+    proj = target.span_projector
+    rng = np.random.default_rng(config.seed)
+    objective = _interior_objective(state_of(source).matrix, proj, "overlap")
+    point, fi = _interior_search(source, objective, rng, config)
+    starts = np.empty((config.boundary_restarts, 6))
+    starts[:, 0::2] = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
+    starts[:, 1::2] = rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3))
+    xb, fb = _pattern_search(_product_objective(proj), starts, config.boundary_budget)
+    best = min(fi.min(), fb.min())
+    if fb.min() < fi.min():
+        x = xb[int(np.argmin(fb))]
+        psi = list(_qubit_from_tp(x[0::2], x[1::2]))
+        # the pure product state as the limit weighted on the (member, party)
+        # with the largest coefficient, so the probe state is well defined
+        coeffs = np.array([_boundary_coefficients(source, m) for m in range(source.n)])
+        member, party = np.unravel_index(int(np.argmax(coeffs)), coeffs.shape)
+        state = boundary_limit(source, member, psi, psi, np.eye(3)[party])
+        mf = source.members[member].factors
+        filt = LocalFilter.from_raw([np.outer(a, f.conj()) for a, f in zip(psi, mf)])
+        point = OrbitPoint(filt, 0.0, state, "boundary")
+    return max(float(best), 0.0), point, fi.tolist(), fb.tolist()
 
 
-def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint]:
+def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint, list]:
     """Empirical maximum fidelity between the target's bound entangled state
-    and single-filter outputs of the source's."""
+    and single-filter outputs of the source's.
+
+    Returns ``(fidelity, point, fidelity_optima)``.
+    """
     config = config or GapSearchConfig()
-    best, point, _ = _maximize_fidelity_detailed(source, target, config)
-    return best, point
+    perp = _perp_projector(target)
+    objective = _interior_objective(state_of(source).matrix, target.span_projector, "fidelity", perp)
+    point, fi = _interior_search(source, objective, np.random.default_rng(config.seed + 1), config)
+    return min(max(-float(fi.min()), 0.0), 1.0), point, (-fi).tolist()
 
 
 def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> GapCertificate:
@@ -553,37 +515,27 @@ def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None)
     chain holds at that state by construction.
     """
     config = config or GapSearchConfig()
-    if equivalent(source, target) is not None:
+    canon_s, canon_t = canonicalize(source), canonicalize(target)
+    if match_canonical(source, target, canon_s, canon_t) is not None:
         raise EquivalentPairError("source and target are equivalent; the gap is undefined")
-    angles_s, _ = canonicalize(source)
-    angles_t, _ = canonicalize(target)
-    delta, argmin_point, interior_optima, boundary_optima = _minimize_overlap_detailed(
-        source, target, config
-    )
-    fmax, argmax_point, fidelity_optima = _maximize_fidelity_detailed(source, target, config)
+    delta, argmin_point, interior_optima, boundary_optima = minimize_span_overlap(source, target, config)
+    fmax, argmax_point, fidelity_optima = maximize_fidelity(source, target, config)
     overlap_at_argmax = span_overlap(target, argmax_point.state)
     delta = min(delta, overlap_at_argmax)
-    d = source.total_dim
-    perp = np.eye(d, dtype=complex) - target.span_projector
-    inner = perp @ argmax_point.state.matrix @ perp
-    inner = (inner + inner.conj().T) / 2
-    w = _clip_spectrum(np.clip(np.linalg.eigvalsh(inner), 0.0, None))
-    perp_weight = float(w.sum())
-    perp_root = float(np.sqrt(w).sum())
+    w = _sandwich_spectrum(_perp_projector(target), argmax_point.state.matrix)
     epsilon = delta / 2.0
-    consistent = fmax <= 1.0 - epsilon + config.slack
     return GapCertificate(
-        source_angles=angles_s.as_tuple(),
-        target_angles=angles_t.as_tuple(),
+        source_angles=canon_s[0].as_tuple(),
+        target_angles=canon_t[0].as_tuple(),
         delta_min=delta,
         fidelity_max=fmax,
         epsilon=epsilon,
         slack=config.slack,
-        consistent=consistent,
+        consistent=fmax <= 1.0 - epsilon + config.slack,
         argmin_kind=argmin_point.kind,
         span_overlap_at_argmax=overlap_at_argmax,
-        perp_weight_at_argmax=perp_weight,
-        perp_root_trace_at_argmax=perp_root,
+        perp_weight_at_argmax=float(w.sum()),
+        perp_root_trace_at_argmax=float(np.sqrt(w).sum()),
         restarts=config.restarts,
         budget=config.budget,
         boundary_restarts=config.boundary_restarts,

@@ -172,6 +172,13 @@ def _clip_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w < 1e-14, 0.0, w)
 
 
+def _sandwich_spectrum(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Clipped eigenvalues of the Hermitian ``A M A``, batched over the
+    leading axes of ``m``; negative rounding noise is clipped to 0."""
+    inner = a @ m @ a
+    return _clip_spectrum(np.linalg.eigvalsh((inner + np.swapaxes(inner.conj(), -1, -2)) / 2))
+
+
 def psd_sqrt(m) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clipped to 0."""
     w, v = eigh(m)
@@ -186,10 +193,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``tr sqrt(sqrt(rho) sigma sqrt(rho))`` in [0, 1]."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    root = psd_sqrt(rho.matrix)
-    inner = root @ sigma.matrix @ root
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    value = float(np.sqrt(_clip_spectrum(np.clip(w, 0.0, None))).sum())
+    value = float(np.sqrt(_sandwich_spectrum(psd_sqrt(rho.matrix), sigma.matrix)).sum())
     return min(max(value, 0.0), 1.0)
 
 
@@ -204,9 +208,7 @@ def fidelity_projector_form(p_perp, rho: DensityMatrix) -> float:
         raise ValueError("projector is not Hermitian within 1e-10")
     if np.abs(p_perp @ p_perp - p_perp).max() > HERMITICITY_TOL:
         raise ValueError("projector is not idempotent within 1e-10")
-    inner = p_perp @ rho.matrix @ p_perp
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    return float(0.5 * np.sqrt(_clip_spectrum(np.clip(w, 0.0, None))).sum())
+    return float(0.5 * np.sqrt(_sandwich_spectrum(p_perp, rho.matrix)).sum())
 
 
 def complement_basis(vectors) -> np.ndarray:

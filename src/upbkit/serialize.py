@@ -47,37 +47,45 @@ def upb_to_document(upb) -> dict[str, Any]:
     }
 
 
+class MalformedDocumentError(ValueError):
+    """A UPB document with the wrong structure: not a mapping, missing keys,
+    wrong types, or factors that do not match ``dims``."""
+
+
 def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
-    whole CLI reports (the ``result`` of ``upbkit build``)."""
+    whole CLI reports (the ``result`` of ``upbkit build``).
+
+    Structural faults raise :class:`MalformedDocumentError`; a well-formed
+    document whose members are not a valid family raises ``ValueError``.
+    """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
 
     if not isinstance(doc, dict):
-        raise ValueError("UPB document must be a mapping")
+        raise MalformedDocumentError("UPB document must be a mapping")
     if "members" not in doc and "canonical" not in doc and isinstance(doc.get("result"), dict):
         doc = doc["result"]
     if "canonical" in doc:
         angles = doc["canonical"]
         if not isinstance(angles, (list, tuple)) or len(angles) != 3:
-            raise ValueError("canonical shorthand requires three angles")
-        return build_canonical(CanonicalAngles(*(float(a) for a in angles)))
+            raise MalformedDocumentError("canonical shorthand requires three angles")
+        try:
+            angles = [float(a) for a in angles]
+        except (TypeError, ValueError) as exc:
+            raise MalformedDocumentError(f"canonical angles must be numbers: {exc}") from exc
+        return build_canonical(CanonicalAngles(*angles))
     try:
         dims = tuple(int(d) for d in doc["dims"])
-        raw_members = doc["members"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed UPB document: {exc}") from exc
-    members = []
-    for raw in raw_members:
-        if len(raw) != len(dims):
-            raise ValueError(
-                f"member has {len(raw)} factors, expected {len(dims)}"
-            )
-        factors = [vector_from_lists(f) for f in raw]
+        members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedDocumentError(f"malformed UPB document: {exc}") from exc
+    for factors in members:
+        if len(factors) != len(dims):
+            raise MalformedDocumentError(f"member has {len(factors)} factors, expected {len(dims)}")
         for f, d in zip(factors, dims):
             if f.shape != (d,):
-                raise ValueError(f"factor of length {f.shape[0]} does not match dim {d}")
-        members.append(ProductState(factors))
-    return UPB(members, dims=dims)
+                raise MalformedDocumentError(f"factor of length {f.shape[0]} does not match dim {d}")
+    return UPB([ProductState(factors) for factors in members], dims=dims)
 
 
 def dumps_report(report: dict) -> str:

@@ -313,8 +313,14 @@ def equivalent(s: UPB, t: UPB, tol: float = ANGLE_MATCH_TOL) -> EquivalenceWitne
     Decided by comparing canonical angles (a complete invariant); the witness
     composes the two canonicalization witnesses.
     """
-    angles_s, w_s = canonicalize(s)
-    angles_t, w_t = canonicalize(t)
+    return match_canonical(s, t, canonicalize(s), canonicalize(t), tol)
+
+
+def match_canonical(s: UPB, t: UPB, canon_s, canon_t, tol: float = ANGLE_MATCH_TOL) -> EquivalenceWitness | None:
+    """:func:`equivalent` from the :func:`canonicalize` results of ``s`` and
+    ``t``, for callers that also need the angles."""
+    angles_s, w_s = canon_s
+    angles_t, w_t = canon_t
     diff = max(abs(x - y) for x, y in zip(angles_s.as_tuple(), angles_t.as_tuple()))
     if diff > tol:
         return None

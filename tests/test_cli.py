@@ -56,13 +56,17 @@ class TestExitCodes:
         code = main(["certify", "--source", SHIFTS_CLASS, "--target", shifts_file])
         assert code == 3
 
-    def test_bad_arguments_are_usage_errors(self):
+    def test_bad_arguments_are_usage_errors(self, tmp_path):
         assert main(["equiv", "--a", "canonical:1.0"]) == 3
         assert main(["no-such-command"]) == 3
         assert main(["build", "--angles", "0.0,1.0,1.0"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--grid", "5"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
+        for i, doc in enumerate(({"dims": [2, 2, 2]}, [1, 2], {"dims": [2, 2, 2], "members": [1]})):
+            path = tmp_path / f"not_a_upb{i}.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", "--upb", str(path)]) == 3
 
     def test_numerical_error_exit(self, tmp_path):
         doc = {"dims": [2, 2, 2], "members": [[[[1.0, 0.0], [0.0, 0.0]]] * 3] * 2}
@@ -134,6 +138,19 @@ class TestReports:
         assert report["result"]["consistent"] is True
         assert report["result"]["delta_min"] > 1e-3
         assert report["config"]["restarts"] == 12
+        result = report["result"]
+        assert set(result) == {
+            "status", "source_angles", "target_angles", "delta_min", "fidelity_max", "epsilon",
+            "slack", "consistent", "argmin_kind", "chain", "optimizer",
+        }
+        assert set(result["chain"]) == {
+            "span_overlap_at_argmax", "perp_weight_at_argmax", "perp_weight_bound",
+            "perp_root_trace_at_argmax", "perp_root_trace_bound", "fidelity_bound",
+        }
+        assert set(result["optimizer"]) == {
+            "seed", "restarts", "budget", "boundary_restarts", "boundary_budget",
+            "interior_optima", "boundary_optima", "fidelity_optima",
+        }
 
     def test_text_format(self, tmp_path, capsys):
         code = main(["equiv", "--a", SHIFTS_CLASS, "--b", SHIFTS_CLASS, "--format", "text"])

@@ -18,7 +18,7 @@ from upbkit.filtering import (
     minimize_span_overlap,
     span_overlap,
 )
-from upbkit.filtering import _boundary_objective, _filters_from_params, _interior_objective, _qubit_from_tp
+from upbkit.filtering import _filters_from_params, _interior_objective, _product_objective, _qubit_from_tp
 from upbkit.linalg import PartitionCut, fidelity_projector_form, partial_transpose, trace_distance
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
@@ -27,6 +27,8 @@ from upbkit.upb import perp_qubit, state_of
 WITNESS_AT_SOURCE = 0.07199523679041778
 DELTA_REFERENCE = 0.0275559
 FIDELITY_REFERENCE = 0.9812328
+# smallest weight a product state puts on the (pi/3)^3 span
+PRODUCT_MINIMUM = 0.027555901447727
 
 FAST = GapSearchConfig(restarts=40, budget=2000, boundary_restarts=16, boundary_budget=1000, seed=11)
 
@@ -264,19 +266,32 @@ class TestObjectives:
     """The batched optimizer objectives agree with the public functions they
     stand in for, at random parameters."""
 
-    def test_boundary_objective_matches_boundary_limit(self, shifts_class_upb, third_class_upb):
+    def test_product_objective_matches_unit_weight_limits(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(53)
-        proj = third_class_upb.span_projector
+        objective = _product_objective(third_class_upb.span_projector)
         for member in range(shifts_class_upb.n):
-            objective = _boundary_objective(shifts_class_upb, member, proj)
-            for _ in range(5):
-                params = rng.standard_normal(15)
-                states = _qubit_from_tp(params[0:12:2], params[1:12:2])
-                lim = boundary_limit(
-                    shifts_class_upb, member, states[:3], states[3:], params[12:] ** 2
-                )
-                value = objective(params[None, :])[0]
+            params = rng.standard_normal(12)
+            targets = _qubit_from_tp(params[0:6:2], params[1:6:2])
+            perts = _qubit_from_tp(params[6::2], params[7::2])
+            for party in range(3):
+                lim = boundary_limit(shifts_class_upb, member, targets, perts, np.eye(3)[party])
+                product = params[:6].copy()
+                product[2 * party:2 * party + 2] = params[6 + 2 * party:8 + 2 * party]
+                value = objective(product[None, :])[0]
                 assert abs(value - span_overlap(third_class_upb, lim)) < 1e-12
+
+    def test_limits_are_bounded_below_by_their_product_terms(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(55)
+        for member in range(shifts_class_upb.n):
+            for _ in range(5):
+                targets = [random_state(rng) for _ in range(3)]
+                perts = [random_state(rng) for _ in range(3)]
+                terms = [
+                    span_overlap(third_class_upb, boundary_limit(shifts_class_upb, member, targets, perts, e))
+                    for e in np.eye(3)
+                ]
+                lim = boundary_limit(shifts_class_upb, member, targets, perts, rng.uniform(0.0, 1.0, 3))
+                assert span_overlap(third_class_upb, lim) >= min(terms) - 1e-12
 
     def test_interior_objectives_match_apply_filter(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(54)
@@ -296,11 +311,11 @@ class TestObjectives:
 
 class TestOptimizers:
     def test_minimize_vanishes_for_the_same_class(self, shifts_class_upb):
-        delta, point = minimize_span_overlap(shifts_class_upb, shifts_class_upb, FAST)
+        delta, point, _, _ = minimize_span_overlap(shifts_class_upb, shifts_class_upb, FAST)
         assert delta < 1e-10
 
     def test_minimize_gap_regression(self, shifts_class_upb, third_class_upb):
-        delta, point = minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
+        delta, point, _, _ = minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
         assert delta > 1e-3
         assert abs(delta - DELTA_REFERENCE) < 0.1 * DELTA_REFERENCE
         if point.kind == "interior":
@@ -311,19 +326,23 @@ class TestOptimizers:
             assert np.abs(rebuilt - point.state.matrix).max() < 1e-10
         assert isinstance(point.state, DensityMatrix)
 
+    def test_boundary_probe_reaches_the_product_state_minimum(self, shifts_class_upb, third_class_upb):
+        delta, point, _, _ = minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
+        assert abs(delta - PRODUCT_MINIMUM) < 1e-12
+
     def test_maximize_reaches_one_for_the_same_class(self, shifts_class_upb):
-        f, point = maximize_fidelity(shifts_class_upb, shifts_class_upb, FAST)
+        f, point, _ = maximize_fidelity(shifts_class_upb, shifts_class_upb, FAST)
         assert f > 1 - 1e-9
 
     def test_maximize_fidelity_regression(self, shifts_class_upb, third_class_upb):
-        f, point = maximize_fidelity(shifts_class_upb, third_class_upb, FAST)
+        f, point, _ = maximize_fidelity(shifts_class_upb, third_class_upb, FAST)
         assert f <= 1 - 1e-4
         assert abs(f - FIDELITY_REFERENCE) < 5e-3
         assert isinstance(point.state, DensityMatrix)
 
     def test_boundary_states_never_beat_the_interior_max(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(52)
-        f_hat, _ = maximize_fidelity(shifts_class_upb, third_class_upb, FAST)
+        f_hat, _, _ = maximize_fidelity(shifts_class_upb, third_class_upb, FAST)
         rho_t = state_of(third_class_upb)
         for _ in range(100):
             member = int(rng.integers(0, 4))
@@ -356,6 +375,7 @@ class TestCertify:
         assert cert.perp_root_trace_at_argmax <= cert.perp_root_trace_bound + 1e-9
         assert len(cert.interior_optima) == FAST.restarts
         assert len(cert.fidelity_optima) == FAST.restarts
+        assert len(cert.boundary_optima) == FAST.boundary_restarts
         json.dumps(cert.to_document())  # serializable
 
     def test_nearby_pair_has_smaller_gap(self, shifts_class_upb, third_class_upb):
