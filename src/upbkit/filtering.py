@@ -4,12 +4,19 @@ The witness functional is the total weight a state puts on the target UPB's
 span; it vanishes only for states supported inside the target's bound
 entangled state, and stays bounded away from zero over the whole filtering
 orbit of an inequivalent source.  ``certify_gap`` estimates that gap and the
-matching fidelity ceiling by derivative-free multistart optimization over
-filter space.  Every closed-form limit state on the orbit boundary is a
-mixture of product states, so the boundary part of the witness minimum is the
-smallest weight a product state puts on the target's span, searched over
-three qubit states.  The resulting numbers are empirical upper estimates
-(multistart gives no lower-bound certificate) and are recorded as such.
+matching fidelity ceiling by multistart optimization over filter space.
+
+Both interior objectives work on the source state's support: with
+``rho_S = C C^dag / k`` a filter ``X`` is applied to the 8x4 basis ``C`` by
+contraction, party by party.  The witness minimum is a compass search, since
+its infimum lies on the orbit boundary.  Every closed-form limit state there
+is a mixture of product states, so the boundary part of the witness minimum
+is the smallest weight a product state puts on the target's span, searched
+over three qubit states.  The fidelity maximum is an exact block-coordinate
+ascent: the fidelity is ``||T^dag X C||_* / (2 ||X C||_F)``, and with the
+polar unitary fixed it is maximized over one 2x2 factor in closed form.  The
+resulting numbers are empirical estimates (multistart gives no certified
+global optimum) and are recorded as such.
 """
 
 from __future__ import annotations
@@ -255,9 +262,12 @@ def boundary_limit(
 class GapSearchConfig:
     """Multistart budget for the gap optimizers.
 
-    ``budget`` counts objective evaluations per interior restart of each
-    optimizer.  The boundary probe is one pool of ``boundary_restarts``
-    searches over product states, ``boundary_budget`` evaluations each.
+    Both interior pools run ``restarts`` restarts.  For the witness pool
+    ``budget`` counts objective evaluations per restart; the fidelity pool
+    runs ``budget // 48`` block-ascent sweeps, the compass search's sweep
+    count at 24 parameters.  The boundary probe is one pool of
+    ``boundary_restarts`` searches over product states, ``boundary_budget``
+    evaluations each.
     """
 
     restarts: int = 200
@@ -387,41 +397,105 @@ def _pattern_search(objective, x0: np.ndarray, budget: int, initial_step: float 
     return x, fx
 
 
-def _filters_from_params(params: np.ndarray) -> np.ndarray:
-    """(n, 24) real parameters -> (n, 3, 2, 2) spectral-norm-1 factors."""
-    raw = params.reshape(params.shape[0], 3, 8)
-    fac = (raw[..., :4] + 1j * raw[..., 4:]).reshape(params.shape[0], 3, 2, 2)
-    gram = np.einsum("nfij,nfik->nfjk", fac.conj(), fac)
-    tr = np.einsum("nfii->nf", gram).real
-    det = (gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]).real
+def _unit_spectral(fac: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) factors divided by their spectral norms (zero stays zero).
+
+    The top eigenvalue of ``F^dag F`` follows from its trace ``||F||_F^2``
+    and determinant ``|det F|^2``."""
+    tr = (fac.real ** 2 + fac.imag ** 2).sum(axis=(-2, -1))
+    det = np.abs(fac[..., 0, 0] * fac[..., 1, 1] - fac[..., 0, 1] * fac[..., 1, 0]) ** 2
     disc = np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))
     top = np.sqrt(np.clip((tr + disc) / 2, 1e-300, None))
     return fac / top[..., None, None]
 
 
-def _kron3(fac: np.ndarray) -> np.ndarray:
-    """(n, 3, 2, 2) factors -> (n, 8, 8) product operators."""
-    return np.einsum(
-        "nij,nkl,nmo->nikmjlo", fac[:, 0], fac[:, 1], fac[:, 2]
-    ).reshape(fac.shape[0], 8, 8)
+def _filters_from_params(params: np.ndarray) -> np.ndarray:
+    """(n, 24) real parameters -> (n, 3, 2, 2) spectral-norm-1 factors."""
+    raw = params.reshape(params.shape[0], 3, 8)
+    return _unit_spectral((raw[..., :4] + 1j * raw[..., 4:]).reshape(params.shape[0], 3, 2, 2))
 
 
-def _interior_objective(rho_mat: np.ndarray, proj: np.ndarray, mode: str, perp: np.ndarray | None = None):
+def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """(n, 3, 2, 2) factors applied to the columns of an (8, k) basis, one
+    party at a time; returns (n, 8, k).  Party ``skip`` is left out."""
+    out = basis[None]
+    for q in range(3):
+        if q != skip:
+            t = out.reshape(out.shape[0], 2 ** q, 2, -1)
+            f = fac[:, q, :, :, None, None]
+            out = np.stack([f[:, 0, 0] * t[:, :, 0] + f[:, 0, 1] * t[:, :, 1],
+                            f[:, 1, 0] * t[:, :, 0] + f[:, 1, 1] * t[:, :, 1]], axis=2)
+    return out.reshape(fac.shape[0], 8, basis.shape[1])
+
+
+def _support_weight(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``||X C||_F^2`` per restart and whether the filter's success
+    probability ``||X C||_F^2 / k`` clears the floor."""
+    norm2 = (y.real ** 2 + y.imag ** 2).sum(axis=(1, 2))
+    return norm2, norm2 / y.shape[-1] > PROBABILITY_FLOOR
+
+
+def _overlap_objective(source: UPB, target: UPB):
+    """Witness value ``||S^dag X C||_F^2 / ||X C||_F^2`` of each filter's
+    output, with ``rho_S = C C^dag / k`` and ``S`` the target's span basis."""
+    comp, span_h = source.complement_basis, target.span_basis.conj().T
+
     def objective(params: np.ndarray) -> np.ndarray:
-        fac = _filters_from_params(params)
-        ops = _kron3(fac)
-        out = ops @ rho_mat @ ops.conj().transpose(0, 2, 1)
-        p = np.einsum("nii->n", out).real
-        valid = p > PROBABILITY_FLOOR
-        safe_p = np.where(valid, p, 1.0)
-        if mode == "overlap":
-            value = np.einsum("nij,ji->n", out, proj).real / safe_p
-        else:  # negative fidelity to the normalized perp projector / 4
-            w = _sandwich_spectrum(perp, out / safe_p[:, None, None])
-            value = -0.5 * np.sqrt(w).sum(axis=1)
+        y = _apply_factors(_filters_from_params(params), comp)
+        norm2, valid = _support_weight(y)
+        inside = span_h @ y
+        value = (inside.real ** 2 + inside.imag ** 2).sum(axis=(1, 2)) / np.where(valid, norm2, 1.0)
         return np.where(valid, value, _INVALID)
 
     return objective
+
+
+def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
+    """Negative fidelity of each filter's output to the target's state, and
+    the unitary ``U`` with ``Re tr(U Z) = ||Z||_*`` for ``Z = T^dag X C``.
+
+    With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r`` the fidelity is
+    ``||Z||_* / (sqrt(r) ||X C||_F)``; no 8x8 operator is formed.
+    """
+    comp, tcomp = source.complement_basis, target.complement_basis
+    y = _apply_factors(fac, comp)
+    left, s, right_h = np.linalg.svd(tcomp.conj().T @ y)
+    norm2, valid = _support_weight(y)
+    value = -s.sum(axis=1) / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
+    unitary = np.swapaxes(right_h.conj(), 1, 2) @ np.swapaxes(left.conj(), 1, 2)
+    return np.where(valid, value, _INVALID), unitary
+
+
+def _block_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray:
+    """Maximize the support fidelity exactly over party ``q``'s factor.
+
+    With ``U`` the polar factor of ``Z`` at the current point, ``Re tr(U Z)``
+    is linear in ``A = A_q``, ``sum_ij A_ij c_ij``, and ``||X C||_F^2`` is
+    ``tr(A G A^dag)`` for the Gram ``G`` of the other two factors applied to
+    ``C``.  By Cauchy-Schwarz the ratio peaks at ``A ~ conj(c) G^-1``, and
+    since ``||Z||_* >= Re tr(U Z)`` the fidelity never decreases.  Restarts
+    whose ``G`` has condition number above 1e12 keep their factor.
+    """
+    n = fac.shape[0]
+    _, unitary = _support_fidelity(fac, source, target)
+
+    def party_first(m):  # (n, 8, k) -> (n, 2, 4k), party q's index first
+        return np.moveaxis(m.reshape(n, 2, 2, 2, -1), q + 1, 1).reshape(n, 2, -1)
+
+    w = party_first(_apply_factors(fac, source.complement_basis, skip=q))
+    tu = party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2))
+    c = tu @ np.swapaxes(w, 1, 2)
+    gram = w @ np.swapaxes(w.conj(), 1, 2)
+    # G^-1 is the adjugate over det > 0; the condition number is top^2 / det
+    adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(n, 2, 2)
+    tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
+    det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
+    top = (tr + np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))) / 2
+    step = _unit_spectral(c.conj() @ adjugate)
+    ok = (det > 1e-12 * top * top) & (np.abs(step).max(axis=(1, 2)) > 0)
+    out = fac.copy()
+    out[ok, q] = step[ok]
+    return out
 
 
 def _qubit_from_tp(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -443,42 +517,41 @@ def _product_objective(proj: np.ndarray):
     return objective
 
 
-def _perp_projector(target: UPB) -> np.ndarray:
-    return np.eye(target.total_dim, dtype=complex) - target.span_projector
-
-
-def _interior_search(source: UPB, objective, rng: np.random.Generator, config: GapSearchConfig) -> tuple[OrbitPoint, np.ndarray]:
-    """Compass search from the identity filter plus ``restarts - 1`` random
-    ones; returns the orbit point of the best restart and every restart's
-    optimum."""
-    starts = rng.standard_normal((config.restarts, 24))
+def _interior_starts(rng: np.random.Generator, restarts: int) -> np.ndarray:
+    """The identity filter plus ``restarts - 1`` random ones, as (n, 24)
+    parameters."""
+    starts = rng.standard_normal((restarts, 24))
     starts[0] = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3)  # identity factors
-    x, fx = _pattern_search(objective, starts, config.budget)
-    fac = _filters_from_params(x[int(np.argmin(fx))][None, :])[0]
+    return starts
+
+
+def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:
+    """The orbit point of one (3, 2, 2) filter, scored through :func:`apply_filter`."""
     filt = LocalFilter.from_raw(list(fac))
     state, p = apply_filter(filt, state_of(source))
-    return OrbitPoint(filt, p, state, "interior"), fx
+    return OrbitPoint(filt, p, state, "interior")
 
 
 def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint, list, list]:
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
-    A boundary limit's witness value is a weighted mean of the weights its
-    three product states put on the target's span, and a limit with all
-    weight on one party is a single product state.  So the boundary infimum
-    is the minimum over product states, which one restart pool searches
-    directly.  Returns ``(delta, point, interior_optima, boundary_optima)``.
+    The interior pool is a compass search: its infimum lies on the orbit
+    boundary, where the iterates' probability tends to 0.  A boundary
+    limit's witness value is a weighted mean of the weights its three
+    product states put on the target's span, and a limit with all weight on
+    one party is a single product state.  So the boundary infimum is the
+    minimum over product states, which one restart pool searches directly.
+    Returns ``(delta, point, interior_optima, boundary_optima)``.
     """
     config = config or GapSearchConfig()
-    proj = target.span_projector
     rng = np.random.default_rng(config.seed)
-    objective = _interior_objective(state_of(source).matrix, proj, "overlap")
-    point, fi = _interior_search(source, objective, rng, config)
+    x, fi = _pattern_search(_overlap_objective(source, target), _interior_starts(rng, config.restarts), config.budget)
+    point = _interior_point(source, _filters_from_params(x[int(np.argmin(fi))][None, :])[0])
     starts = np.empty((config.boundary_restarts, 6))
     starts[:, 0::2] = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
     starts[:, 1::2] = rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3))
-    xb, fb = _pattern_search(_product_objective(proj), starts, config.boundary_budget)
+    xb, fb = _pattern_search(_product_objective(target.span_projector), starts, config.boundary_budget)
     best = min(fi.min(), fb.min())
     if fb.min() < fi.min():
         x = xb[int(np.argmin(fb))]
@@ -498,12 +571,19 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     """Empirical maximum fidelity between the target's bound entangled state
     and single-filter outputs of the source's.
 
-    Returns ``(fidelity, point, fidelity_optima)``.
+    Each restart runs ``budget // 48`` sweeps of exact block steps
+    (:func:`_block_step`) over the three factors; the best filter is
+    re-scored through :func:`apply_filter`.  Returns
+    ``(fidelity, point, fidelity_optima)``.
     """
     config = config or GapSearchConfig()
-    perp = _perp_projector(target)
-    objective = _interior_objective(state_of(source).matrix, target.span_projector, "fidelity", perp)
-    point, fi = _interior_search(source, objective, np.random.default_rng(config.seed + 1), config)
+    fac = _filters_from_params(_interior_starts(np.random.default_rng(config.seed + 1), config.restarts))
+    # the compass search's sweep count at 24 parameters
+    for _ in range(max(1, config.budget // 48)):
+        for q in range(3):
+            fac = _block_step(fac, q, source, target)
+    fi, _ = _support_fidelity(fac, source, target)
+    point = _interior_point(source, fac[int(np.argmin(fi))])
     return min(max(-float(fi.min()), 0.0), 1.0), point, (-fi).tolist()
 
 
@@ -522,7 +602,8 @@ def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None)
     fmax, argmax_point, fidelity_optima = maximize_fidelity(source, target, config)
     overlap_at_argmax = span_overlap(target, argmax_point.state)
     delta = min(delta, overlap_at_argmax)
-    w = _sandwich_spectrum(_perp_projector(target), argmax_point.state.matrix)
+    perp = np.eye(target.total_dim, dtype=complex) - target.span_projector
+    w = _sandwich_spectrum(perp, argmax_point.state.matrix)
     epsilon = delta / 2.0
     return GapCertificate(
         source_angles=canon_s[0].as_tuple(),

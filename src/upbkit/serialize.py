@@ -49,15 +49,17 @@ def upb_to_document(upb) -> dict[str, Any]:
 
 class MalformedDocumentError(ValueError):
     """A UPB document with the wrong structure: not a mapping, missing keys,
-    wrong types, or factors that do not match ``dims``."""
+    wrong types, no members, factors that do not match ``dims``, or
+    canonical angles outside (0, pi)."""
 
 
 def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
     whole CLI reports (the ``result`` of ``upbkit build``).
 
-    Structural faults raise :class:`MalformedDocumentError`; a well-formed
-    document whose members are not a valid family raises ``ValueError``.
+    Faults of the document itself raise :class:`MalformedDocumentError`; a
+    well-formed document whose members are not an orthonormal family raises
+    ``ValueError``.
     """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
 
@@ -73,12 +75,18 @@ def upb_from_document(doc: dict):
             angles = [float(a) for a in angles]
         except (TypeError, ValueError) as exc:
             raise MalformedDocumentError(f"canonical angles must be numbers: {exc}") from exc
-        return build_canonical(CanonicalAngles(*angles))
+        try:
+            angles = CanonicalAngles(*angles)
+        except ValueError as exc:
+            raise MalformedDocumentError(str(exc)) from exc
+        return build_canonical(angles)
     try:
         dims = tuple(int(d) for d in doc["dims"])
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"malformed UPB document: {exc}") from exc
+    if not members:
+        raise MalformedDocumentError("a UPB document needs at least one member")
     for factors in members:
         if len(factors) != len(dims):
             raise MalformedDocumentError(f"member has {len(factors)} factors, expected {len(dims)}")

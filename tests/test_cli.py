@@ -63,7 +63,14 @@ class TestExitCodes:
         assert main(["qutrit-extras", "--upb", "tiles", "--grid", "5"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
-        for i, doc in enumerate(({"dims": [2, 2, 2]}, [1, 2], {"dims": [2, 2, 2], "members": [1]})):
+        docs = (
+            {"dims": [2, 2, 2]},
+            [1, 2],
+            {"dims": [2, 2, 2], "members": [1]},
+            {"canonical": [0.0, 1.0, 1.0]},
+            {"dims": [2, 2, 2], "members": []},
+        )
+        for i, doc in enumerate(docs):
             path = tmp_path / f"not_a_upb{i}.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--upb", str(path)]) == 3

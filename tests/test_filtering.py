@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_local_filter, random_separable, random_state
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity
@@ -18,7 +20,15 @@ from upbkit.filtering import (
     minimize_span_overlap,
     span_overlap,
 )
-from upbkit.filtering import _filters_from_params, _interior_objective, _product_objective, _qubit_from_tp
+from upbkit.filtering import (
+    _INVALID,
+    _block_step,
+    _filters_from_params,
+    _overlap_objective,
+    _product_objective,
+    _qubit_from_tp,
+    _support_fidelity,
+)
 from upbkit.linalg import PartitionCut, fidelity_projector_form, partial_transpose, trace_distance
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
@@ -296,17 +306,55 @@ class TestObjectives:
     def test_interior_objectives_match_apply_filter(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(54)
         rho = state_of(shifts_class_upb)
-        proj = third_class_upb.span_projector
-        perp = np.eye(8) - proj
-        overlap = _interior_objective(rho.matrix, proj, "overlap")
-        neg_fidelity = _interior_objective(rho.matrix, proj, "fidelity", perp)
+        perp = np.eye(8) - third_class_upb.span_projector
+        overlap = _overlap_objective(shifts_class_upb, third_class_upb)
         for _ in range(5):
             params = rng.standard_normal((1, 24))
-            filt = LocalFilter.from_raw(list(_filters_from_params(params)[0]))
-            state, p = apply_filter(filt, rho)
+            fac = _filters_from_params(params)
+            state, p = apply_filter(LocalFilter.from_raw(list(fac[0])), rho)
             assert p > 1e-14
+            neg_fidelity, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
             assert abs(overlap(params)[0] - span_overlap(third_class_upb, state)) < 1e-12
-            assert abs(neg_fidelity(params)[0] + fidelity_projector_form(perp, state)) < 1e-12
+            assert abs(neg_fidelity[0] + fidelity_projector_form(perp, state)) < 1e-12
+
+
+class TestFidelityAscent:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_steps_never_lower_the_fidelity(self, angles, seed):
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        fac = _filters_from_params(np.random.default_rng(seed).standard_normal((8, 24)))
+        value, _ = _support_fidelity(fac, source, target)
+        for _ in range(3):
+            for q in range(3):
+                fac = _block_step(fac, q, source, target)
+                new, _ = _support_fidelity(fac, source, target)
+                assert (new <= value + 1e-12).all()  # negative fidelity
+                value = new
+
+    def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
+        # |t0,t1,t2><S_0| annihilates the source state, and with two such
+        # rank-1 factors fixed the Gram of the third party's step is singular
+        rng = np.random.default_rng(56)
+        member = shifts_class_upb.members[0].factors
+        aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
+        fac = _filters_from_params(rng.standard_normal((6, 24)))
+        batch = np.concatenate([fac, aligned[None]])
+        for _ in range(4):
+            for q in range(3):
+                fac = _block_step(fac, q, shifts_class_upb, third_class_upb)
+                batch = _block_step(batch, q, shifts_class_upb, third_class_upb)
+        values, _ = _support_fidelity(batch, shifts_class_upb, third_class_upb)
+        assert np.isfinite(batch).all() and np.isfinite(values).all()
+        assert np.array_equal(batch[-1], aligned)
+        assert values[-1] == _INVALID
+        alone, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        assert np.abs(batch[:-1] - fac).max() < 1e-15
+        assert np.abs(values[:-1] - alone).max() < 1e-15
 
 
 class TestOptimizers:
@@ -373,6 +421,7 @@ class TestCertify:
         assert cert.span_overlap_at_argmax >= cert.delta_min
         assert cert.perp_weight_at_argmax <= cert.perp_weight_bound + 1e-12
         assert cert.perp_root_trace_at_argmax <= cert.perp_root_trace_bound + 1e-9
+        assert abs(cert.perp_root_trace_at_argmax / 2 - cert.fidelity_max) < 1e-9
         assert len(cert.interior_optima) == FAST.restarts
         assert len(cert.fidelity_optima) == FAST.restarts
         assert len(cert.boundary_optima) == FAST.boundary_restarts
