@@ -6,17 +6,15 @@ entangled state, and stays bounded away from zero over the whole filtering
 orbit of an inequivalent source.  ``certify_gap`` estimates that gap and the
 matching fidelity ceiling by multistart optimization over filter space.
 
-Both interior objectives work on the source state's support: with
-``rho_S = C C^dag / k`` a filter ``X`` is applied to the 8x4 basis ``C`` by
-contraction, party by party.  The witness minimum is a compass search, since
-its infimum lies on the orbit boundary.  Every closed-form limit state there
-is a mixture of product states, so the boundary part of the witness minimum
-is the smallest weight a product state puts on the target's span, searched
-over three qubit states.  The fidelity maximum is an exact block-coordinate
-ascent: the fidelity is ``||T^dag X C||_* / (2 ||X C||_F)``, and with the
-polar unitary fixed it is maximized over one 2x2 factor in closed form.  The
-resulting numbers are empirical estimates (multistart gives no certified
-global optimum) and are recorded as such.
+Both interior objectives work on the source state's support ``C`` (with
+``rho_S = C C^dag / k``) and are optimized exactly, one 2x2 factor per
+step: the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` by a 4x4 eigenvector,
+the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form.  A restart
+runs ``budget // 48`` sweeps of three steps.  The witness infimum may lie
+on the orbit boundary, whose limit states are mixtures of product states;
+there it is the least weight a product state puts on the target's span,
+reached by ``boundary_budget // 12`` sweeps of exact single-qubit steps.
+Multistart certifies no global optimum: the results are empirical estimates.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ PROBABILITY_FLOOR = 1e-14
 SPECTRAL_NORM_TOL = 1e-10
 ENSEMBLE_CAP = 8192
 _INVALID = 2.0  # objective placeholder outside [0, 1]
+_FREEZE_PROBABILITY = 1e-6  # witness restarts below it keep their factors
 
 
 class EquivalentPairError(ValueError):
@@ -260,15 +259,11 @@ def boundary_limit(
 
 @dataclass(frozen=True)
 class GapSearchConfig:
-    """Multistart budget for the gap optimizers.
-
-    Both interior pools run ``restarts`` restarts.  For the witness pool
-    ``budget`` counts objective evaluations per restart; the fidelity pool
-    runs ``budget // 48`` block-ascent sweeps, the compass search's sweep
-    count at 24 parameters.  The boundary probe is one pool of
-    ``boundary_restarts`` searches over product states, ``boundary_budget``
-    evaluations each.
-    """
+    """Multistart budget for the gap optimizers: ``restarts`` restarts of
+    ``budget // 48`` sweeps of three exact block steps in both interior pools
+    (the compass search's sweep count at 24 parameters, which the budgets were
+    set for), and ``boundary_restarts`` product states of
+    ``boundary_budget // 12`` sweeps of qubit steps in the boundary probe."""
 
     restarts: int = 200
     budget: int = 5000
@@ -364,37 +359,7 @@ class GapCertificate:
 
 
 # ---------------------------------------------------------------------------
-# batched derivative-free optimization
-
-
-def _pattern_search(objective, x0: np.ndarray, budget: int, initial_step: float = 0.25, min_step: float = 1e-7):
-    """Coordinate-adaptive compass search run over all restarts at once.
-
-    Per restart and sweep each coordinate is probed both ways from the
-    current point; the per-restart step halves after sweeps without
-    improvement.  ``budget`` counts objective evaluations per restart.
-    """
-    x = x0.copy()
-    n, p = x.shape
-    fx = objective(x)
-    step = np.full(n, initial_step)
-    sweeps = max(1, budget // (2 * p))
-    for _ in range(sweeps):
-        improved = np.zeros(n, dtype=bool)
-        for k in range(p):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[:, k] += sign * step
-                ft = objective(trial)
-                better = ft < fx
-                if better.any():
-                    x[better] = trial[better]
-                    fx = np.where(better, ft, fx)
-                    improved |= better
-        step = np.where(improved, step, step * 0.5)
-        if (step < min_step).all():
-            break
-    return x, fx
+# batched exact block-coordinate optimization
 
 
 def _unit_spectral(fac: np.ndarray) -> np.ndarray:
@@ -409,10 +374,13 @@ def _unit_spectral(fac: np.ndarray) -> np.ndarray:
     return fac / top[..., None, None]
 
 
-def _filters_from_params(params: np.ndarray) -> np.ndarray:
-    """(n, 24) real parameters -> (n, 3, 2, 2) spectral-norm-1 factors."""
-    raw = params.reshape(params.shape[0], 3, 8)
-    return _unit_spectral((raw[..., :4] + 1j * raw[..., 4:]).reshape(params.shape[0], 3, 2, 2))
+def _interior_starts(rng: np.random.Generator, restarts: int) -> np.ndarray:
+    """The identity filter plus ``restarts - 1`` random ones, as (n, 3, 2, 2)
+    spectral-norm-1 factors with Gaussian real and imaginary parts."""
+    raw = rng.standard_normal((restarts, 3, 8))
+    fac = (raw[..., :4] + 1j * raw[..., 4:]).reshape(restarts, 3, 2, 2)
+    fac[0] = np.eye(2)
+    return _unit_spectral(fac)
 
 
 def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) -> np.ndarray:
@@ -428,6 +396,23 @@ def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) 
     return out.reshape(fac.shape[0], 8, basis.shape[1])
 
 
+def _party_first(m: np.ndarray, q: int) -> np.ndarray:
+    """(n, 8, k) -> (n, 2, 4k), with party ``q``'s index first."""
+    return np.moveaxis(m.reshape(m.shape[0], 2, 2, 2, -1), q + 1, 1).reshape(m.shape[0], 2, -1)
+
+
+def _party_gram(fac: np.ndarray, q: int, source: UPB) -> tuple[np.ndarray, ...]:
+    """``W``, the other two factors applied to ``C`` as (n, 2, 4k) with party
+    ``q`` first, its Gram ``W W^dag``, the Gram's determinant, and whether
+    its condition number ``top^2 / det`` is at most 1e12."""
+    w = _party_first(_apply_factors(fac, source.complement_basis, skip=q), q)
+    gram = w @ np.swapaxes(w.conj(), 1, 2)
+    tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
+    det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
+    top = (tr + np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))) / 2
+    return w, gram, det, det > 1e-12 * top * top
+
+
 def _support_weight(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``||X C||_F^2`` per restart and whether the filter's success
     probability ``||X C||_F^2 / k`` clears the floor."""
@@ -435,19 +420,51 @@ def _support_weight(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return norm2, norm2 / y.shape[-1] > PROBABILITY_FLOOR
 
 
-def _overlap_objective(source: UPB, target: UPB):
-    """Witness value ``||S^dag X C||_F^2 / ||X C||_F^2`` of each filter's
-    output, with ``rho_S = C C^dag / k`` and ``S`` the target's span basis."""
-    comp, span_h = source.complement_basis, target.span_basis.conj().T
+def _witness_value(y: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``||S^dag Y||_F^2 / ||Y||_F^2`` and ``||Y||_F^2 / k`` for each (8, k)
+    image ``Y`` (``X C``, or a product state), rows ordered as ``S``'s."""
+    norm2, valid = _support_weight(y)
+    inside = span.conj().T @ y
+    value = (inside.real ** 2 + inside.imag ** 2).sum(axis=(1, 2)) / np.where(valid, norm2, 1.0)
+    return np.where(valid, value, _INVALID), norm2 / y.shape[-1]
 
-    def objective(params: np.ndarray) -> np.ndarray:
-        y = _apply_factors(_filters_from_params(params), comp)
-        norm2, valid = _support_weight(y)
-        inside = span_h @ y
-        value = (inside.real ** 2 + inside.imag ** 2).sum(axis=(1, 2)) / np.where(valid, norm2, 1.0)
-        return np.where(valid, value, _INVALID)
 
-    return objective
+def _overlap_objective(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
+    """Witness ``||S^dag X C||_F^2 / ||X C||_F^2`` of each filter's output
+    (``S`` the target's span basis) and its success probability."""
+    return _witness_value(_apply_factors(fac, source.complement_basis), target.span_basis)
+
+
+def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray:
+    """Minimize the support witness exactly over party ``q``'s factor.
+
+    With ``L`` the Cholesky factor of ``W W^dag`` (:func:`_party_gram`),
+    ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
+    Rayleigh quotient in ``vec(Z)``.  Its lowest eigenvector is scored by
+    :func:`_witness_value`, never by the eigenvalue, and taken only if not
+    higher.  Restarts below ``_FREEZE_PROBABILITY`` (their descent runs to
+    the orbit boundary, which the product-state pool covers) or with a Gram
+    worse conditioned than 1e12 keep their factor.
+    """
+    n, k = fac.shape[0], source.complement_basis.shape[1]
+    w, gram, det, ok = _party_gram(fac, q, source)
+    span = _party_first(target.span_basis[None], q).reshape(8, -1)  # rows (a, rest)
+    value, prob = _witness_value((fac[:, q] @ w).reshape(n, 8, k), span)
+    live = ok & (prob >= _FREEZE_PROBABILITY)
+    g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
+    l11 = np.sqrt(np.where(live, det, 1.0) / g00)
+    chol_inv = np.zeros((n, 2, 2), dtype=complex)
+    chol_inv[:, 0, 0], chol_inv[:, 1, 0], chol_inv[:, 1, 1] = 1 / np.sqrt(g00), -gram[:, 1, 0] / (g00 * l11), 1 / l11
+    white = (chol_inv @ w).reshape(n, 2, 4, k)  # [n, b, rest, column]
+    # numerator ||R vec(Z)||^2 with R[n, (j, col), (a, b)] = sum_rest conj(S[(a, rest), j]) white[n, b, rest, col]
+    lifted = span.conj().reshape(2, 4, -1).transpose(0, 2, 1).reshape(-1, 4)
+    response = (lifted @ white).reshape(n, 2, 2, -1, k).transpose(0, 3, 4, 2, 1).reshape(n, -1, 4)
+    _, vecs = np.linalg.eigh(np.swapaxes(response.conj(), 1, 2) @ response)
+    trial = _unit_spectral(vecs[:, :, 0].reshape(n, 2, 2) @ chol_inv)
+    accept = live & (_witness_value((trial @ w).reshape(n, 8, k), span)[0] <= value)
+    out = fac.copy()
+    out[accept, q] = trial[accept]
+    return out
 
 
 def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
@@ -478,51 +495,29 @@ def _block_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray
     """
     n = fac.shape[0]
     _, unitary = _support_fidelity(fac, source, target)
-
-    def party_first(m):  # (n, 8, k) -> (n, 2, 4k), party q's index first
-        return np.moveaxis(m.reshape(n, 2, 2, 2, -1), q + 1, 1).reshape(n, 2, -1)
-
-    w = party_first(_apply_factors(fac, source.complement_basis, skip=q))
-    tu = party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2))
+    w, gram, _, ok = _party_gram(fac, q, source)
+    tu = _party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2), q)
     c = tu @ np.swapaxes(w, 1, 2)
-    gram = w @ np.swapaxes(w.conj(), 1, 2)
-    # G^-1 is the adjugate over det > 0; the condition number is top^2 / det
+    # G^-1 is the adjugate over det > 0
     adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(n, 2, 2)
-    tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
-    det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
-    top = (tr + np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))) / 2
     step = _unit_spectral(c.conj() @ adjugate)
-    ok = (det > 1e-12 * top * top) & (np.abs(step).max(axis=(1, 2)) > 0)
+    ok &= np.abs(step).max(axis=(1, 2)) > 0
     out = fac.copy()
     out[ok, q] = step[ok]
     return out
 
 
-def _qubit_from_tp(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    out = np.empty(t.shape + (2,), dtype=complex)
-    out[..., 0] = np.cos(t)
-    out[..., 1] = np.sin(t) * np.exp(1j * phi)
+def _qubit_step(qubits: np.ndarray, q: int, target: UPB) -> np.ndarray:
+    """Minimize the product weight exactly over qubit ``q``: with the other
+    two fixed, ``S^dag psi = N a`` is linear in its state ``a``, and the
+    lowest eigenvector of the 2x2 ``N^dag N`` is the minimizer."""
+    b, c = (qubits[:, p] for p in range(3) if p != q)
+    span = _party_first(target.span_basis.conj()[None], q).reshape(2, 4, -1)
+    nmat = np.einsum("arj,nr->nja", span, (b[:, :, None] * c[:, None]).reshape(-1, 4))
+    _, vecs = np.linalg.eigh(np.swapaxes(nmat.conj(), 1, 2) @ nmat)
+    out = qubits.copy()
+    out[:, q] = vecs[:, :, 0]
     return out
-
-
-def _product_objective(proj: np.ndarray):
-    """Weight ``<a,b,c|proj|a,b,c>`` of the product state whose three qubits
-    are given as ``(t, phi)`` pairs in (n, 6) parameters."""
-
-    def objective(params: np.ndarray) -> np.ndarray:
-        q = _qubit_from_tp(params[:, 0::2], params[:, 1::2])  # (n, 3, 2)
-        psi = np.einsum("ni,nj,nk->nijk", q[:, 0], q[:, 1], q[:, 2]).reshape(-1, 8)
-        return np.einsum("ni,ij,nj->n", psi.conj(), proj, psi).real
-
-    return objective
-
-
-def _interior_starts(rng: np.random.Generator, restarts: int) -> np.ndarray:
-    """The identity filter plus ``restarts - 1`` random ones, as (n, 24)
-    parameters."""
-    starts = rng.standard_normal((restarts, 24))
-    starts[0] = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0], 3)  # identity factors
-    return starts
 
 
 def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:
@@ -536,26 +531,32 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
-    The interior pool is a compass search: its infimum lies on the orbit
-    boundary, where the iterates' probability tends to 0.  A boundary
-    limit's witness value is a weighted mean of the weights its three
-    product states put on the target's span, and a limit with all weight on
-    one party is a single product state.  So the boundary infimum is the
-    minimum over product states, which one restart pool searches directly.
-    Returns ``(delta, point, interior_optima, boundary_optima)``.
+    The interior pool runs exact block steps (:func:`_witness_step`).  A
+    boundary limit's witness value is a weighted mean of the weights its
+    three product states put on the target's span, and a limit with all
+    weight on one party is a single product state, so the boundary pool
+    minimizes the product weight (:func:`_qubit_step`).  Returns
+    ``(delta, point, interior_optima, boundary_optima)``.
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
-    x, fi = _pattern_search(_overlap_objective(source, target), _interior_starts(rng, config.restarts), config.budget)
-    point = _interior_point(source, _filters_from_params(x[int(np.argmin(fi))][None, :])[0])
-    starts = np.empty((config.boundary_restarts, 6))
-    starts[:, 0::2] = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
-    starts[:, 1::2] = rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3))
-    xb, fb = _pattern_search(_product_objective(target.span_projector), starts, config.boundary_budget)
+    fac = _interior_starts(rng, config.restarts)
+    for _ in range(max(1, config.budget // 48)):
+        for q in range(3):
+            fac = _witness_step(fac, q, source, target)
+    fi, _ = _overlap_objective(fac, source, target)
+    point = _interior_point(source, fac[int(np.argmin(fi))])
+    theta = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
+    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3)))
+    qubits = np.stack([np.cos(theta), np.sin(theta) * phase], axis=-1)
+    for _ in range(max(1, config.boundary_budget // 12)):
+        for q in range(3):
+            qubits = _qubit_step(qubits, q, target)
+    products = np.einsum("ni,nj,nk->nijk", qubits[:, 0], qubits[:, 1], qubits[:, 2]).reshape(-1, 8, 1)
+    fb, _ = _witness_value(products, target.span_basis)
     best = min(fi.min(), fb.min())
     if fb.min() < fi.min():
-        x = xb[int(np.argmin(fb))]
-        psi = list(_qubit_from_tp(x[0::2], x[1::2]))
+        psi = list(qubits[int(np.argmin(fb))])
         # the pure product state as the limit weighted on the (member, party)
         # with the largest coefficient, so the probe state is well defined
         coeffs = np.array([_boundary_coefficients(source, m) for m in range(source.n)])
@@ -577,8 +578,7 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     ``(fidelity, point, fidelity_optima)``.
     """
     config = config or GapSearchConfig()
-    fac = _filters_from_params(_interior_starts(np.random.default_rng(config.seed + 1), config.restarts))
-    # the compass search's sweep count at 24 parameters
+    fac = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
     for _ in range(max(1, config.budget // 48)):
         for q in range(3):
             fac = _block_step(fac, q, source, target)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import upbkit
 from upbkit.cli import main
 from upbkit.serialize import dumps_report, upb_to_document
 from upbkit.upb import shifts
@@ -180,3 +185,19 @@ class TestReproducibility:
             main(argv + ["--out", str(a)])
             main(argv + ["--out", str(b)])
             assert a.read_bytes() == b.read_bytes()
+
+    def test_certify_bytes_do_not_depend_on_the_blas_thread_count(self):
+        argv = ["certify", "--source", SHIFTS_CLASS, "--target", THIRD_CLASS,
+                "--restarts", "12", "--budget", "600", "--seed", "9"]
+        src = str(Path(upbkit.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from upbkit.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True, timeout=300, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]

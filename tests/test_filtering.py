@@ -21,15 +21,17 @@ from upbkit.filtering import (
     span_overlap,
 )
 from upbkit.filtering import (
+    _FREEZE_PROBABILITY,
     _INVALID,
     _block_step,
-    _filters_from_params,
+    _interior_starts,
     _overlap_objective,
-    _product_objective,
-    _qubit_from_tp,
+    _qubit_step,
     _support_fidelity,
+    _witness_step,
+    _witness_value,
 )
-from upbkit.linalg import PartitionCut, fidelity_projector_form, partial_transpose, trace_distance
+from upbkit.linalg import PartitionCut, fidelity_projector_form, kron_all, partial_transpose, trace_distance
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
 
@@ -41,6 +43,13 @@ FIDELITY_REFERENCE = 0.9812328
 PRODUCT_MINIMUM = 0.027555901447727
 
 FAST = GapSearchConfig(restarts=40, budget=2000, boundary_restarts=16, boundary_budget=1000, seed=11)
+
+
+def product_weight(qubits: np.ndarray, target) -> np.ndarray:
+    """Weight each (n, 3, 2) product state puts on the target's span, as the
+    witness of its one-column image."""
+    psi = np.array([kron_all(q) for q in qubits])[:, :, None]
+    return _witness_value(psi, target.span_basis)[0]
 
 
 def range_subspace(state: DensityMatrix, tol: float = 1e-10) -> Subspace:
@@ -278,16 +287,14 @@ class TestObjectives:
 
     def test_product_objective_matches_unit_weight_limits(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(53)
-        objective = _product_objective(third_class_upb.span_projector)
         for member in range(shifts_class_upb.n):
-            params = rng.standard_normal(12)
-            targets = _qubit_from_tp(params[0:6:2], params[1:6:2])
-            perts = _qubit_from_tp(params[6::2], params[7::2])
+            targets = np.array([random_state(rng) for _ in range(3)])
+            perts = np.array([random_state(rng) for _ in range(3)])
             for party in range(3):
                 lim = boundary_limit(shifts_class_upb, member, targets, perts, np.eye(3)[party])
-                product = params[:6].copy()
-                product[2 * party:2 * party + 2] = params[6 + 2 * party:8 + 2 * party]
-                value = objective(product[None, :])[0]
+                product = targets.copy()
+                product[party] = perts[party]
+                value = product_weight(product[None], third_class_upb)[0]
                 assert abs(value - span_overlap(third_class_upb, lim)) < 1e-12
 
     def test_limits_are_bounded_below_by_their_product_terms(self, shifts_class_upb, third_class_upb):
@@ -307,15 +314,15 @@ class TestObjectives:
         rng = np.random.default_rng(54)
         rho = state_of(shifts_class_upb)
         perp = np.eye(8) - third_class_upb.span_projector
-        overlap = _overlap_objective(shifts_class_upb, third_class_upb)
-        for _ in range(5):
-            params = rng.standard_normal((1, 24))
-            fac = _filters_from_params(params)
-            state, p = apply_filter(LocalFilter.from_raw(list(fac[0])), rho)
+        fac = _interior_starts(rng, 6)
+        overlap, prob = _overlap_objective(fac, shifts_class_upb, third_class_upb)
+        neg_fidelity, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        for i in range(len(fac)):
+            state, p = apply_filter(LocalFilter.from_raw(list(fac[i])), rho)
             assert p > 1e-14
-            neg_fidelity, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
-            assert abs(overlap(params)[0] - span_overlap(third_class_upb, state)) < 1e-12
-            assert abs(neg_fidelity[0] + fidelity_projector_form(perp, state)) < 1e-12
+            assert abs(prob[i] - p) < 1e-12
+            assert abs(overlap[i] - span_overlap(third_class_upb, state)) < 1e-12
+            assert abs(neg_fidelity[i] + fidelity_projector_form(perp, state)) < 1e-12
 
 
 class TestFidelityAscent:
@@ -327,7 +334,7 @@ class TestFidelityAscent:
     def test_block_steps_never_lower_the_fidelity(self, angles, seed):
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
-        fac = _filters_from_params(np.random.default_rng(seed).standard_normal((8, 24)))
+        fac = _interior_starts(np.random.default_rng(seed), 8)
         value, _ = _support_fidelity(fac, source, target)
         for _ in range(3):
             for q in range(3):
@@ -342,7 +349,7 @@ class TestFidelityAscent:
         rng = np.random.default_rng(56)
         member = shifts_class_upb.members[0].factors
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
-        fac = _filters_from_params(rng.standard_normal((6, 24)))
+        fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
         for _ in range(4):
             for q in range(3):
@@ -353,6 +360,64 @@ class TestFidelityAscent:
         assert np.array_equal(batch[-1], aligned)
         assert values[-1] == _INVALID
         alone, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        assert np.abs(batch[:-1] - fac).max() < 1e-15
+        assert np.abs(values[:-1] - alone).max() < 1e-15
+
+
+class TestWitnessDescent:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_steps_never_raise_the_witness(self, angles, seed):
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        rng = np.random.default_rng(seed)
+        fac = _interior_starts(rng, 8)
+        qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(8)])
+        value, _ = _overlap_objective(fac, source, target)
+        weight = product_weight(qubits, target)
+        for _ in range(3):
+            for q in range(3):
+                fac = _witness_step(fac, q, source, target)
+                qubits = _qubit_step(qubits, q, target)
+                new, _ = _overlap_objective(fac, source, target)
+                new_weight = product_weight(qubits, target)
+                assert (new <= value + 1e-12).all()
+                assert (new_weight <= weight + 1e-12).all()
+                value, weight = new, new_weight
+
+    def _aligned(self, upb, rng):
+        # |t0,t1,t2><S_0| annihilates the source state
+        return np.array([np.outer(random_state(rng), f.conj()) for f in upb.members[0].factors])
+
+    def test_restart_below_the_freeze_probability_is_kept(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(57)
+        near = self._aligned(shifts_class_upb, rng) + 1e-4 * _interior_starts(rng, 4)[1:]
+        value, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
+        assert ((prob > 1e-14) & (prob < _FREEZE_PROBABILITY)).all()
+        assert (value < _INVALID).all()
+        fac = near.copy()
+        for _ in range(3):
+            for q in range(3):
+                fac = _witness_step(fac, q, shifts_class_upb, third_class_upb)
+        assert np.array_equal(fac, near)
+
+    def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(58)
+        aligned = self._aligned(shifts_class_upb, rng)
+        fac = _interior_starts(rng, 6)
+        batch = np.concatenate([fac, aligned[None]])
+        for _ in range(4):
+            for q in range(3):
+                fac = _witness_step(fac, q, shifts_class_upb, third_class_upb)
+                batch = _witness_step(batch, q, shifts_class_upb, third_class_upb)
+        values, _ = _overlap_objective(batch, shifts_class_upb, third_class_upb)
+        assert np.isfinite(batch).all() and np.isfinite(values).all()
+        assert np.array_equal(batch[-1], aligned)
+        assert values[-1] == _INVALID
+        alone, _ = _overlap_objective(fac, shifts_class_upb, third_class_upb)
         assert np.abs(batch[:-1] - fac).max() < 1e-15
         assert np.abs(values[:-1] - alone).max() < 1e-15
 
