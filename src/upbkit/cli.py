@@ -134,7 +134,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="orthonormality / unextendibility report")
     p.add_argument("--upb", required=True)
-    add_search_flags(p)
     add_common(p)
 
     p = sub.add_parser("state", help="emit the bound entangled state of a UPB")
@@ -183,12 +182,11 @@ def _run_build(args):
 
 def _run_validate(args):
     upb = load_upb_spec(args.upb)
-    report = validate(upb, config=_search_config(args))
+    report = validate(upb)
     doc = {
         "dims": list(report.dims),
         "n_members": report.n_members,
         "orthonormality_error": report.orthonormality_error,
-        "productness_error": report.productness_error,
         "member_count_ok": report.member_count_ok,
         "unextendible": report.unextendible,
         "extension": _hit_document(report.extension) if report.extension else None,

@@ -33,7 +33,9 @@ PROBABILITY_FLOOR = 1e-14
 SPECTRAL_NORM_TOL = 1e-10
 ENSEMBLE_CAP = 8192
 _INVALID = 2.0  # objective placeholder outside [0, 1]
-_FREEZE_PROBABILITY = 1e-6  # witness restarts below it keep their factors
+# witness restarts below it keep their factors, and no step goes below it:
+# there the witness is a ratio of rounding-sized norms
+_FREEZE_PROBABILITY = 1e-6
 
 
 class EquivalentPairError(ValueError):
@@ -442,8 +444,9 @@ def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarr
     ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
     Rayleigh quotient in ``vec(Z)``.  Its lowest eigenvector is scored by
     :func:`_witness_value`, never by the eigenvalue, and taken only if not
-    higher.  Restarts below ``_FREEZE_PROBABILITY`` (their descent runs to
-    the orbit boundary, which the product-state pool covers) or with a Gram
+    higher and if its success probability is at least
+    ``_FREEZE_PROBABILITY``.  Restarts below it (their descent runs to the
+    orbit boundary, which the product-state pool covers) or with a Gram
     worse conditioned than 1e12 keep their factor.
     """
     n, k = fac.shape[0], source.complement_basis.shape[1]
@@ -461,7 +464,8 @@ def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarr
     response = (lifted @ white).reshape(n, 2, 2, -1, k).transpose(0, 3, 4, 2, 1).reshape(n, -1, 4)
     _, vecs = np.linalg.eigh(np.swapaxes(response.conj(), 1, 2) @ response)
     trial = _unit_spectral(vecs[:, :, 0].reshape(n, 2, 2) @ chol_inv)
-    accept = live & (_witness_value((trial @ w).reshape(n, 8, k), span)[0] <= value)
+    trial_value, trial_prob = _witness_value((trial @ w).reshape(n, 8, k), span)
+    accept = live & (trial_value <= value) & (trial_prob >= _FREEZE_PROBABILITY)
     out = fac.copy()
     out[accept, q] = trial[accept]
     return out

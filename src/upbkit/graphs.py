@@ -3,8 +3,10 @@
 A five-member three-qubit UPB would induce three orthogonality graphs on K5
 whose edges cover all ten vertex pairs.  Valid per-party graphs have max
 valence 2 and no odd cycles; exhaustive scanning of the 3^10 single-party
-edge assignments plus random realization of the survivors exhibits an
-extension for every case, refuting the five-member hypothesis numerically.
+edge assignments leaves the surviving colorings, and
+:func:`~upbkit.product_search.is_extendible` decides exactly that every
+random realization of a survivor extends, refuting the five-member
+hypothesis.
 """
 
 from __future__ import annotations
@@ -292,50 +294,3 @@ def realize_coloring(
     if err > 1e-12:
         raise RealizationError(f"realization not orthonormal (error {err})")
     return members
-
-
-def explicit_extension(coloring: EdgeColoring, realization):
-    """The structural extension of a realized survivor family.
-
-    For a cycle-plus-isolated heavy graph the extension flips the isolated
-    vertex's state on the heavy party; for a path it flips two of the path
-    states on the light parties.  Existence for every survivor is exactly the
-    content of the four-member theorem's refutation step.
-    """
-    from .upb import ProductState, perp_qubit
-
-    heavy = coloring.heavy_parties()
-    if not heavy:
-        raise ValueError("coloring has no party with >= 4 edges")
-    party = heavy[0]
-    h = PARTY_LABELS.index(party)
-    others = [p for p in range(3) if p != h]
-    g = coloring.party_graph(party)
-    adj = g.adjacency()
-    degrees = [len(a) for a in adj]
-    states = [[m.factors[p] for m in realization] for p in range(3)]
-    if 0 in degrees:
-        k = degrees.index(0)
-        factors = [None, None, None]
-        factors[h] = perp_qubit(states[h][k])
-        for p in others:
-            factors[p] = states[p][k]
-        return ProductState(factors)
-    # path: walk from an endpoint
-    end = degrees.index(1)
-    path = [end]
-    prev = -1
-    while len(path) < 5:
-        nxt = [w for w in adj[path[-1]] if w != prev]
-        if not nxt:
-            break
-        prev = path[-1]
-        path.append(nxt[0])
-    if len(path) != 5:
-        raise ValueError("heavy party graph is neither a path nor a cycle plus vertex")
-    second, fourth = path[1], path[3]
-    factors = [None, None, None]
-    factors[h] = states[h][second]
-    factors[others[0]] = perp_qubit(states[others[0]][second])
-    factors[others[1]] = perp_qubit(states[others[1]][fourth])
-    return ProductState(factors)

@@ -1,18 +1,21 @@
-"""Product-vector search inside a linear subspace.
+"""Product-vector search inside a linear subspace, and exact extendibility
+of product families.
 
-Local states are parameterized by hyperspherical angles and phases (first
-component real-positive), and the squared norm of the out-of-subspace
-component is minimized by damped Gauss-Newton with a numerically evaluated
-Jacobian, run over many starts at once.  Completeness is heuristic at the
-configured resolution: the search documents a found-set, not a certified
-enumeration.
+For the search, local states are parameterized by hyperspherical angles and
+phases (first component real-positive), and the squared norm of the
+out-of-subspace component is minimized by damped Gauss-Newton with a
+numerically evaluated Jacobian, run over many starts at once.  Completeness
+is heuristic at the configured resolution: the search documents a found-set,
+not a certified enumeration.  Whether a family of product states extends
+needs no search: :func:`is_extendible` decides it from the members' local
+factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +24,10 @@ from .linalg import complement_basis, kron_all, orthonormality_error
 DEFAULT_SEED = 101
 # two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
 DEDUP_TOL = 1e-6
+# rank decisions of is_extendible: a factor this close to its group's span is
+# dependent, one farther than RANK_INDEPENDENT_TOL independent
+RANK_DEPENDENT_TOL = 1e-10
+RANK_INDEPENDENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,9 +35,9 @@ class SearchConfig:
     """Knobs for the multistart search.
 
     ``grid_resolution`` scales the number of starts (resolution^2 per polar
-    angle); raising it only adds starts, so hits found at a lower resolution
-    are kept when re-seeded via ``seed_hits``.  Hits are deduplicated up to
-    global phase at the fixed ``DEDUP_TOL``.
+    angle), drawn from ``seed``; a start counts as a hit once its residual is
+    at most ``residual_tol``.  Hits are deduplicated up to global phase at
+    the fixed ``DEDUP_TOL``.
     """
 
     grid_resolution: int = 16
@@ -210,25 +217,6 @@ def _states_from_params(params: np.ndarray, gdims) -> list[np.ndarray]:
     return states
 
 
-def _params_from_state(vec: np.ndarray) -> np.ndarray:
-    """Angles and phases reproducing ``vec`` up to global phase."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    v = v / np.linalg.norm(v)
-    if abs(v[0]) > 1e-12:
-        v = v * (np.conj(v[0]) / abs(v[0]))
-    d = v.shape[0]
-    mags = np.abs(v)
-    ts = []
-    running = 1.0
-    for k in range(d - 1):
-        c = min(max(mags[k] / running, 0.0), 1.0) if running > 1e-15 else 1.0
-        tk = math.acos(c)
-        ts.append(tk)
-        running = running * math.sin(tk)
-    phis = list(np.angle(v[1:]))
-    return np.array(ts + phis)
-
-
 def _start_params(rng: np.random.Generator, n_starts: int, gdims) -> np.ndarray:
     blocks = []
     for d in gdims:
@@ -296,7 +284,6 @@ def find_product_vectors(
     subspace: Subspace,
     partition=None,
     config: SearchConfig | None = None,
-    seed_hits: Iterable[ProductVectorHit] = (),
 ) -> list[ProductVectorHit]:
     """All product vectors (for the given partition) found in the subspace.
 
@@ -314,13 +301,6 @@ def find_product_vectors(
     n_starts = config.grid_resolution ** 2 * n_polar
     rng = np.random.default_rng(config.seed)
     starts = _start_params(rng, n_starts, gdims)
-    seeded = []
-    for hit in seed_hits:
-        if normalize_partition(hit.partition, len(dims)) != partition:
-            raise ValueError("seed hit partition does not match")
-        seeded.append(np.concatenate([_params_from_state(f) for f in hit.factors]))
-    if seeded:
-        starts = np.vstack([starts, np.array(seeded)])
 
     perp = subspace.perp_basis
     if perp.shape[1] == 0:
@@ -369,10 +349,41 @@ def find_product_vectors(
     return hits
 
 
+class RankAmbiguityError(ValueError):
+    """A local factor lies between ``RANK_DEPENDENT_TOL`` and
+    ``RANK_INDEPENDENT_TOL`` off the span of its party's group, and the
+    extendibility verdict hinges on that rank decision."""
+
+
+def _unit_orthogonal_to(group: list[np.ndarray], d: int) -> np.ndarray:
+    """The standard basis vector with the largest component off the span of
+    the orthonormal ``group``, projected off it and normalized."""
+    rest = np.eye(d, dtype=complex)
+    for q in group:
+        rest -= np.outer(q, q.conj())
+    j = int(np.argmax(np.linalg.norm(rest, axis=0)))
+    return rest[:, j] / np.linalg.norm(rest[:, j])
+
+
 def is_extendible(members, config: SearchConfig | None = None) -> ProductVectorHit | None:
-    """Best product vector in the orthogonal complement of the members' span,
-    or None when the search finds nothing (the family is unextendible at the
-    configured resolution)."""
+    """A product vector orthogonal to every member, or None when the family
+    is unextendible; decided exactly, with no search.
+
+    ``<m|v_0 (x) v_1 ...> = prod_p <m_p|v_p>``, so a product vector ``v`` is
+    orthogonal to every member iff the members split into groups, one per
+    party, such that each party's factors of its group do not span its
+    space; ``v_p`` is then any unit vector orthogonal to them (Bennett et
+    al., quant-ph/9808030).  A depth-first assignment of members to parties
+    keeps an orthonormal basis per group and prunes a branch once a group
+    reaches full rank.  The first complete split gives the extension; its
+    ``residual`` is the norm of its overlaps with the members.  A factor at
+    most ``RANK_DEPENDENT_TOL`` off its group's span counts as dependent, one
+    more than ``RANK_INDEPENDENT_TOL`` off as independent; if no split is
+    found and a decision fell in between, :class:`RankAmbiguityError` is
+    raised rather than a verdict.
+
+    ``config`` is accepted for existing callers and ignored.
+    """
     members = list(members)
     if not members:
         raise ValueError("need at least one member")
@@ -381,9 +392,44 @@ def is_extendible(members, config: SearchConfig | None = None) -> ProductVectorH
     gram_err = orthonormality_error(stack)
     if gram_err > 1e-10:
         raise ValueError(f"members are not orthonormal (error {gram_err})")
-    comp = complement_basis(stack.T)
-    if comp.shape[1] == 0:
+    if len(members) >= stack.shape[1]:
         return None
-    sub = Subspace(dims, comp)
-    hits = find_product_vectors(sub, finest_partition(len(dims)), config)
-    return hits[0] if hits else None
+    ambiguous = []
+
+    def split(k: int, groups: tuple[list[np.ndarray], ...]):
+        if k == len(members):
+            return groups
+        for p, f in enumerate(members[k].factors):
+            group = groups[p]
+            r = f.copy()
+            for _ in range(2):  # twice is enough for an orthogonal remainder
+                for q in group:
+                    r -= np.vdot(q, r) * q
+            norm = float(np.vdot(r, r).real) ** 0.5
+            if norm <= RANK_DEPENDENT_TOL:
+                grown = group
+            elif norm <= RANK_INDEPENDENT_TOL:
+                ambiguous.append(norm)
+                continue
+            elif len(group) + 1 < dims[p]:
+                grown = group + [r / norm]
+            else:
+                continue
+            leaf = split(k + 1, groups[:p] + (grown,) + groups[p + 1:])
+            if leaf is not None:
+                return leaf
+        return None
+
+    groups = split(0, tuple([] for _ in dims))
+    if groups is None:
+        if ambiguous:
+            raise RankAmbiguityError(
+                f"a local factor lies {min(ambiguous):.3g} off its group's span: "
+                "the extendibility verdict is within rounding"
+            )
+        return None
+    factors = tuple(_unit_orthogonal_to(g, d) for g, d in zip(groups, dims))
+    for f in factors:
+        f.setflags(write=False)
+    res = float(np.linalg.norm(stack.conj() @ kron_all(factors)))
+    return ProductVectorHit(dims, finest_partition(len(dims)), factors, res)

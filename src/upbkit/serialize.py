@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def complex_to_pair(z: complex) -> list[float]:

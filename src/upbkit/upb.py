@@ -17,6 +17,7 @@ import numpy as np
 
 from . import graphs as graphs_mod
 from .linalg import DensityMatrix, complement_basis, kron_all, orthonormality_error, partial_trace
+from .product_search import is_extendible
 
 ORTHONORMALITY_TOL = 1e-10
 FACTOR_NORM_TOL = 1e-12
@@ -89,7 +90,7 @@ class UPB:
 
     Pairwise orthonormality (within 1e-10) is enforced at construction; the
     unextendibility claim is checked separately by :func:`validate`, which
-    runs a product-vector search on the complement.
+    decides it exactly from the members' local factors.
     """
 
     __slots__ = ("dims", "members", "span_basis", "complement_basis")
@@ -341,7 +342,6 @@ class ValidationReport:
     dims: tuple[int, ...]
     n_members: int
     orthonormality_error: float
-    productness_error: float
     member_count_ok: bool
     unextendible: bool
     extension: object | None
@@ -351,31 +351,26 @@ class ValidationReport:
     def passed(self) -> bool:
         return (
             self.orthonormality_error <= ORTHONORMALITY_TOL
-            and self.productness_error <= FACTOR_NORM_TOL
             and self.member_count_ok
             and self.unextendible
         )
 
 
-def validate(upb: UPB, config=None) -> ValidationReport:
-    """Check orthonormality, productness, member count, and unextendibility.
+def validate(upb: UPB) -> ValidationReport:
+    """Check orthonormality, member count, and unextendibility.
 
-    The unextendibility flag reflects a product-vector search over the span
-    complement at the configured resolution (heuristic completeness).
+    Productness needs no check: :class:`ProductState` enforces it.  The
+    unextendibility flag is exact (:func:`is_extendible` decides it from the
+    members' local factors); a family whose verdict hinges on a rank decision
+    within rounding raises :class:`~upbkit.product_search.RankAmbiguityError`.
     """
-    from .product_search import is_extendible
-
     orth = orthonormality_error(np.array([m.tensor for m in upb.members]))
-    prod_err = max(
-        float(np.abs(m.tensor - kron_all(m.factors)).max()) for m in upb.members
-    )
     count_ok = upb.n == 4 if upb.dims == (2, 2, 2) else True
-    hit = is_extendible(upb.members, config=config)
+    hit = is_extendible(upb.members)
     return ValidationReport(
         dims=upb.dims,
         n_members=upb.n,
         orthonormality_error=orth,
-        productness_error=prod_err,
         member_count_ok=count_ok,
         unextendible=hit is None,
         extension=hit,

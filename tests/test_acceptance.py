@@ -36,7 +36,7 @@ from upbkit.filtering import (
 )
 from upbkit.graphs import enumerate_colorings, enumerate_valid_party_graphs, realize_coloring
 from upbkit.linalg import trace_distance
-from upbkit.product_search import SearchConfig, Subspace
+from upbkit.product_search import Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
 from upbkit.upb import perp_qubit, scrambled
 
@@ -134,14 +134,13 @@ def test_criterion_4_five_member_refutation():
             assert cache[key] in forms
             by_class[cache[key]].append(coloring)
         rng = np.random.default_rng(TRIPLE_SEED + 1)
-        cfg = SearchConfig(grid_resolution=10, max_iterations=40)
         for form in forms:
             pool = by_class[form]
             assert pool
             for rep in range(10):
                 coloring = pool[int(rng.integers(0, len(pool)))]
                 members = realize_coloring(coloring, seed=int(rng.integers(0, 2 ** 31)))
-                hit = is_extendible(members, cfg)
+                hit = is_extendible(members)
                 assert hit is not None
                 assert hit.residual <= 1e-9
 

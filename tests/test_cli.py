@@ -46,7 +46,12 @@ class TestExitCodes:
     def test_validate_upb_file(self, tmp_path, shifts_file):
         code, report = run(tmp_path, "validate", "--upb", shifts_file)
         assert code == 0
+        assert report["schema"] == 2
         assert report["result"]["passed"] is True
+        assert set(report["result"]) == {
+            "dims", "n_members", "orthonormality_error", "member_count_ok",
+            "unextendible", "extension", "party_graphs", "passed",
+        }
 
     def test_validate_partial_family_fails(self, tmp_path):
         doc = upb_to_document(shifts())
@@ -66,6 +71,7 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 3
         assert main(["build", "--angles", "0.0,1.0,1.0"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--grid", "5"]) == 3
+        assert main(["validate", "--upb", "tiles", "--grid", "5"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
         docs = (
@@ -85,6 +91,8 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--upb", str(path)]) == 2
+        # the extendibility verdict hinges on a rank decision within rounding
+        assert main(["validate", "--upb", "canonical:1e-9,1,1"]) == 2
 
 
 class TestReports:

@@ -443,6 +443,15 @@ class TestOptimizers:
         delta, point, _, _ = minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
         assert abs(delta - PRODUCT_MINIMUM) < 1e-12
 
+    def test_no_step_below_the_freeze_probability_undercuts_the_product_minimum(
+        self, shifts_class_upb, third_class_upb
+    ):
+        # a step to success probability ~3e-9 scores rounding noise in
+        # ||S^dag X C||^2 / ||X C||^2, here 7e-15 below the product-state
+        # minimum that bounds the orbit boundary from below
+        delta, _, _, _ = minimize_span_overlap(shifts_class_upb, third_class_upb, GapSearchConfig(seed=3))
+        assert delta >= 0.027555901447726856 - 1e-15
+
     def test_maximize_reaches_one_for_the_same_class(self, shifts_class_upb):
         f, point, _ = maximize_fidelity(shifts_class_upb, shifts_class_upb, FAST)
         assert f > 1 - 1e-9

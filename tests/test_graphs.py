@@ -11,11 +11,10 @@ from upbkit.graphs import (
     check_party_constraints,
     enumerate_colorings,
     enumerate_valid_party_graphs,
-    explicit_extension,
     is_valid_party_graph,
     realize_coloring,
 )
-from upbkit.product_search import SearchConfig, is_extendible
+from upbkit.product_search import is_extendible
 
 # the two admissible heavy graphs: a five-vertex path and a four-cycle plus
 # an isolated vertex (canonical labelings from exhaustive enumeration)
@@ -126,9 +125,8 @@ class TestRealizeColoring:
         a = realize_coloring(coloring, seed=1)
         b = realize_coloring(coloring, seed=2)
         assert np.abs(a[0].tensor - b[0].tensor).max() > 1e-3
-        cfg = SearchConfig(grid_resolution=10, max_iterations=40)
         for members in (a, b):
-            hit = is_extendible(members, cfg)
+            hit = is_extendible(members)
             assert hit is not None and hit.residual <= 1e-9
 
     def test_full_survivor_sweep_always_extendible(self, scan):
@@ -137,7 +135,7 @@ class TestRealizeColoring:
         for idx, coloring in enumerate(scan.survivors):
             for rep in range(10):
                 members = realize_coloring(coloring, seed=idx * 10 + rep)
-                ext = explicit_extension(coloring, members)
+                ext = is_extendible(members)
                 leak = np.sqrt(
                     sum(abs(np.vdot(m.tensor, ext.tensor)) ** 2 for m in members)
                 )
@@ -145,10 +143,9 @@ class TestRealizeColoring:
 
     def test_sampled_survivors_extendible_by_search(self, scan):
         rng = np.random.default_rng(22)
-        cfg = SearchConfig(grid_resolution=10, max_iterations=40)
         for idx in rng.choice(len(scan.survivors), size=6, replace=False):
             members = realize_coloring(scan.survivors[idx], seed=int(idx))
-            hit = is_extendible(members, cfg)
+            hit = is_extendible(members)
             assert hit is not None and hit.residual <= 1e-9
 
     def test_unrealizable_margin_fails(self, scan):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upbkit import CanonicalAngles, ProductState, build_canonical, shifts
+from upbkit import UPB, CanonicalAngles, ProductState, build_canonical, shifts
+from upbkit.graphs import enumerate_colorings, realize_coloring
 from upbkit.product_search import (
+    RankAmbiguityError,
     SearchConfig,
     Subspace,
     find_product_vectors,
@@ -106,18 +110,6 @@ class TestFindProductVectors:
                 overlaps = [abs(np.vdot(x, y)) for x, y in zip(a.factors, b.factors)]
                 assert not all(ov > 1 - 1e-6 for ov in overlaps)
 
-    def test_resolution_monotonicity(self, third_class_upb):
-        sub = span_subspace(third_class_upb)
-        low = find_product_vectors(sub, TRIPARTITE, SearchConfig(grid_resolution=8))
-        high = find_product_vectors(
-            sub, TRIPARTITE, SearchConfig(grid_resolution=16), seed_hits=low
-        )
-        for h in low:
-            assert any(
-                all(abs(np.vdot(a, b)) > 1 - 1e-6 for a, b in zip(h.factors, g.factors))
-                for g in high
-            )
-
     def test_full_space_rejected(self):
         sub = Subspace((2, 2), np.eye(4))
         with pytest.raises(ValueError):
@@ -127,12 +119,22 @@ class TestFindProductVectors:
 class TestIsExtendible:
     def test_upb_is_unextendible(self):
         assert is_extendible(shifts().members) is None
+        for triple in (
+            (1e-4, 3.1, 2.0),
+            (0.011216122791543099, 0.17226426314641657, 0.13037093544558162),
+        ):
+            assert is_extendible(build_canonical(CanonicalAngles(*triple)).members) is None
 
     def test_partial_family_extends_to_omitted_member(self):
         u = shifts()
         hit = is_extendible(u.members[:3])
         assert hit is not None
-        assert hit.residual <= 1e-9
+        assert hit.residual <= 1e-12
+
+    def test_rank_decision_within_rounding_raises(self):
+        # |A> lies 5e-10 off |0>: whether the family extends hinges on it
+        with pytest.raises(RankAmbiguityError):
+            is_extendible(build_canonical(CanonicalAngles(1e-9, 1.0, 1.0)).members)
 
     def test_non_orthonormal_rejected(self):
         k0 = np.array([1.0, 0.0])
@@ -140,6 +142,42 @@ class TestIsExtendible:
         members = [ProductState([k0, k0, k0]), ProductState([plus, k0, k0])]
         with pytest.raises(ValueError):
             is_extendible(members)
+
+
+@pytest.fixture(scope="module")
+def survivors():
+    return enumerate_colorings().survivors
+
+
+class TestExtendibilityCrossCheck:
+    """The exact split rule against a Gauss-Newton search of the complement."""
+
+    @staticmethod
+    def _agree(members):
+        hit = is_extendible(members)
+        sub = Subspace(members[0].dims, UPB(members).complement_basis)
+        # criterion 4's former search setting, which found every realized
+        # survivor's extension
+        found = find_product_vectors(sub, config=SearchConfig(grid_resolution=10, max_iterations=40))
+        assert (hit is None) == (found == [])
+        if hit is not None:
+            assert hit.residual <= 1e-12
+            assert residual(hit.factors, sub) <= 1e-12
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        index=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        size=st.integers(3, 5),
+    )
+    def test_survivor_subsets(self, survivors, index, seed, size):
+        members = realize_coloring(survivors[index % len(survivors)], seed=seed)
+        self._agree(members[:size])
+
+    @settings(max_examples=8, deadline=None)
+    @given(angles=st.lists(st.floats(0.05, np.pi - 0.05), min_size=3, max_size=3))
+    def test_canonical_upbs(self, angles):
+        self._agree(build_canonical(CanonicalAngles(*angles)).members)
 
 
 class TestConfigAndTypes:

@@ -85,7 +85,7 @@ class TestExtraProductVectors:
 class TestQutritStates:
     def test_families_validate_as_upbs(self, tiles, pyramid):
         for u in (tiles, pyramid):
-            report = validate(u, config=QUTRIT_SEARCH)
+            report = validate(u)
             assert report.orthonormality_error <= 1e-10
             assert report.unextendible
 

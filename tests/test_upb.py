@@ -269,7 +269,7 @@ class TestValidate:
         ]
         report = validate(UPB(members))
         assert not report.unextendible
-        assert report.extension is not None
+        assert report.extension.residual <= 1e-12
 
 
 class TestSerialization:
