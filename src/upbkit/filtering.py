@@ -10,11 +10,13 @@ Both interior objectives work on the source state's support ``C`` (with
 ``rho_S = C C^dag / k``) and are optimized exactly, one 2x2 factor per
 step: the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` by a 4x4 eigenvector,
 the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form.  A restart
-runs ``budget // 48`` sweeps of three steps.  The witness infimum may lie
-on the orbit boundary, whose limit states are mixtures of product states;
-there it is the least weight a product state puts on the target's span,
-reached by ``boundary_budget // 12`` sweeps of exact single-qubit steps.
-Multistart certifies no global optimum: the results are empirical estimates.
+runs up to ``budget // 48`` sweeps of three steps.  The witness infimum may
+lie on the orbit boundary, whose limit states are mixtures of product
+states; there it is the least weight a product state puts on the target's
+span, reached by up to ``boundary_budget // 12`` sweeps of exact
+single-qubit steps.  A restart that a sweep leaves bitwise unchanged stops
+(:func:`_sweeps`); the others run on, with the same results.  Multistart
+certifies no global optimum: the results are empirical estimates.
 """
 
 from __future__ import annotations
@@ -262,10 +264,12 @@ def boundary_limit(
 @dataclass(frozen=True)
 class GapSearchConfig:
     """Multistart budget for the gap optimizers: ``restarts`` restarts of
-    ``budget // 48`` sweeps of three exact block steps in both interior pools
-    (the compass search's sweep count at 24 parameters, which the budgets were
-    set for), and ``boundary_restarts`` product states of
-    ``boundary_budget // 12`` sweeps of qubit steps in the boundary probe."""
+    up to ``budget // 48`` sweeps of three exact block steps in both interior
+    pools (the compass search's sweep count at 24 parameters, which the
+    budgets were set for), and ``boundary_restarts`` product states of up to
+    ``boundary_budget // 12`` sweeps of qubit steps in the boundary probe.
+    The sweep counts are per-restart upper bounds: a restart that a sweep
+    leaves bitwise unchanged stops there."""
 
     restarts: int = 200
     budget: int = 5000
@@ -524,6 +528,33 @@ def _qubit_step(qubits: np.ndarray, q: int, target: UPB) -> np.ndarray:
     return out
 
 
+def _sweeps(state: np.ndarray, sweeps: int, step) -> np.ndarray:
+    """``sweeps`` sweeps of ``step(state, q)`` for q = 0, 1, 2 over a batch of
+    restarts (the leading axis), each run only on the live restarts.
+
+    A step maps each restart on its own, by arithmetic that does not depend
+    on the rest of the batch, so a restart that a whole sweep leaves bitwise
+    unchanged stays so: it is dropped from the batch and its row keeps its
+    value.  Every row equals that of the plain loop.
+    """
+    def bits(a):
+        return a.reshape(len(a), -1).view(np.uint8)
+
+    out = np.empty_like(state)
+    live = np.arange(len(state))
+    for _ in range(sweeps):
+        if not live.size:
+            break
+        new = state
+        for q in range(3):
+            new = step(new, q)
+        moved = (bits(new) != bits(state)).any(axis=1)
+        out[live[~moved]] = new[~moved]
+        live, state = live[moved], new[moved]
+    out[live] = state
+    return out
+
+
 def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:
     """The orbit point of one (3, 2, 2) filter, scored through :func:`apply_filter`."""
     filt = LocalFilter.from_raw(list(fac))
@@ -544,18 +575,14 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
-    fac = _interior_starts(rng, config.restarts)
-    for _ in range(max(1, config.budget // 48)):
-        for q in range(3):
-            fac = _witness_step(fac, q, source, target)
+    fac = _sweeps(_interior_starts(rng, config.restarts), max(1, config.budget // 48),
+                  lambda f, q: _witness_step(f, q, source, target))
     fi, _ = _overlap_objective(fac, source, target)
     point = _interior_point(source, fac[int(np.argmin(fi))])
     theta = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
     phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3)))
     qubits = np.stack([np.cos(theta), np.sin(theta) * phase], axis=-1)
-    for _ in range(max(1, config.boundary_budget // 12)):
-        for q in range(3):
-            qubits = _qubit_step(qubits, q, target)
+    qubits = _sweeps(qubits, max(1, config.boundary_budget // 12), lambda v, q: _qubit_step(v, q, target))
     products = np.einsum("ni,nj,nk->nijk", qubits[:, 0], qubits[:, 1], qubits[:, 2]).reshape(-1, 8, 1)
     fb, _ = _witness_value(products, target.span_basis)
     best = min(fi.min(), fb.min())
@@ -576,16 +603,14 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     """Empirical maximum fidelity between the target's bound entangled state
     and single-filter outputs of the source's.
 
-    Each restart runs ``budget // 48`` sweeps of exact block steps
+    Each restart runs up to ``budget // 48`` sweeps of exact block steps
     (:func:`_block_step`) over the three factors; the best filter is
     re-scored through :func:`apply_filter`.  Returns
     ``(fidelity, point, fidelity_optima)``.
     """
     config = config or GapSearchConfig()
-    fac = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
-    for _ in range(max(1, config.budget // 48)):
-        for q in range(3):
-            fac = _block_step(fac, q, source, target)
+    fac = _sweeps(_interior_starts(np.random.default_rng(config.seed + 1), config.restarts),
+                  max(1, config.budget // 48), lambda f, q: _block_step(f, q, source, target))
     fi, _ = _support_fidelity(fac, source, target)
     point = _interior_point(source, fac[int(np.argmin(fi))])
     return min(max(-float(fi.min()), 0.0), 1.0), point, (-fi).tolist()

@@ -260,15 +260,15 @@ def realize_coloring(
     for party in PARTY_LABELS:
         g = coloring.party_graph(party)
         comps = g.components()
+        sides = [_bipartition(g, comp) for comp in comps]
+        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
         for _ in range(attempts):
             states: list[np.ndarray | None] = [None] * 5
-            for comp in comps:
-                side = _bipartition(g, comp)
+            for comp, side in zip(comps, sides):
                 v = _random_qubit(rng)
                 vp = perp_qubit(v)
                 for vertex in comp:
                     states[vertex] = v if side[vertex] == 0 else vp
-            comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
             ok = True
             for i in range(5):
                 for j in range(i + 1, 5):

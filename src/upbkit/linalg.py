@@ -100,11 +100,20 @@ class DensityMatrix:
 
 
 def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of vectors or matrices, left to right."""
+    """Kronecker product of vectors or matrices, left to right.
+
+    Two vectors take the flattened outer product: the same elementwise
+    products as ``np.kron``, without its general-shape set-up.
+    """
     out = None
     for f in factors:
         f = np.asarray(f, dtype=complex)
-        out = f if out is None else np.kron(out, f)
+        if out is None:
+            out = f
+        elif out.ndim == f.ndim == 1:
+            out = np.multiply.outer(out, f).reshape(-1)
+        else:
+            out = np.kron(out, f)
     if out is None:
         raise ValueError("need at least one factor")
     return out

@@ -28,6 +28,7 @@ from upbkit.filtering import (
     _overlap_objective,
     _qubit_step,
     _support_fidelity,
+    _sweeps,
     _witness_step,
     _witness_value,
 )
@@ -50,6 +51,22 @@ def product_weight(qubits: np.ndarray, target) -> np.ndarray:
     witness of its one-column image."""
     psi = np.array([kron_all(q) for q in qubits])[:, :, None]
     return _witness_value(psi, target.span_basis)[0]
+
+
+def plain_sweeps(state: np.ndarray, sweeps: int, step) -> np.ndarray:
+    """``sweeps`` sweeps of three steps on the whole batch, no restart retired."""
+    for _ in range(sweeps):
+        for q in range(3):
+            state = step(state, q)
+    return state
+
+
+def recording(step, sizes: list):
+    """``step`` that appends the batch size of every call to ``sizes``."""
+    def run(state, q):
+        sizes.append(len(state))
+        return step(state, q)
+    return run
 
 
 def range_subspace(state: DensityMatrix, tol: float = 1e-10) -> Subspace:
@@ -420,6 +437,56 @@ class TestWitnessDescent:
         alone, _ = _overlap_objective(fac, shifts_class_upb, third_class_upb)
         assert np.abs(batch[:-1] - fac).max() < 1e-15
         assert np.abs(values[:-1] - alone).max() < 1e-15
+
+
+class TestSweeps:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        restarts=st.integers(16, 24),
+        budget=st.integers(600, 1200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_retiring_fixed_restarts_matches_the_plain_loop(self, angles, restarts, budget, seed):
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        rng = np.random.default_rng(seed)
+        fac = _interior_starts(rng, restarts)
+        qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(restarts)])
+        pools = [
+            (fac, budget // 48, lambda f, q: _witness_step(f, q, source, target)),
+            (fac, budget // 48, lambda f, q: _block_step(f, q, source, target)),
+            (qubits, budget // 12, lambda v, q: _qubit_step(v, q, target)),
+        ]
+        for state, sweeps, step in pools:
+            assert np.array_equal(_sweeps(state, sweeps, step), plain_sweeps(state, sweeps, step))
+
+    def test_batch_retires_down_to_a_single_restart(self, shifts_class_upb, third_class_upb):
+        # kernel-aligned restarts keep their factors under the fidelity step,
+        # while a random restart still moves at the ulp level
+        rng = np.random.default_rng(59)
+        member = shifts_class_upb.members[0].factors
+        aligned = [np.array([np.outer(random_state(rng), f.conj()) for f in member]) for _ in range(5)]
+        batch = np.concatenate([np.array(aligned), _interior_starts(rng, 2)[1:]])
+        sizes = []
+        step = recording(lambda f, q: _block_step(f, q, shifts_class_upb, third_class_upb), sizes)
+        out = _sweeps(batch, 20, step)
+        assert sizes[:3] == [6, 6, 6] and sizes[3:] == [1] * 57
+        assert np.array_equal(out, plain_sweeps(batch, 20, step))
+        assert np.array_equal(out[:5], batch[:5])
+
+    def test_all_frozen_batch_returns_after_one_sweep(self, shifts_class_upb, third_class_upb):
+        rng = np.random.default_rng(60)
+        member = shifts_class_upb.members[0].factors
+        aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
+        near = aligned + 3e-5 * _interior_starts(rng, 5)[1:]
+        _, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
+        assert ((prob > 1e-10) & (prob < 1e-8)).all()
+        sizes = []
+        step = recording(lambda f, q: _witness_step(f, q, shifts_class_upb, third_class_upb), sizes)
+        out = _sweeps(near, 100, step)
+        assert sizes == [4, 4, 4]
+        assert np.array_equal(out, near)
 
 
 class TestOptimizers:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ class TestKron:
         expected[2, 0] = 1
         expected[3, 1] = -1
         assert np.abs(kron_all([SX, SZ]) - expected).max() == 0
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 2)])
+    def test_matches_numpy_kron_bitwise(self, shape):
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 3):
+            factors = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(n)]
+            assert np.array_equal(kron_all(factors), functools.reduce(np.kron, factors))
 
 
 class TestPartialTrace:
