@@ -18,7 +18,7 @@ import numpy as np
 
 from . import qutrit
 from .filtering import EquivalentPairError, GapSearchConfig, certify_gap
-from .graphs import enumerate_colorings, enumerate_valid_party_graphs
+from .graphs import enumerate_colorings, enumerate_valid_party_graphs, extension_split
 from .product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
 from .serialize import (
     SCHEMA_VERSION,
@@ -146,7 +146,6 @@ def build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("graphs", help="exhaustive five-member coloring scan")
-    p.add_argument("--min-edges", type=int, default=4)
     add_common(p)
 
     p = sub.add_parser("search-pv", help="product vectors inside a UPB's span or complement")
@@ -218,12 +217,10 @@ def _run_equiv(args):
 
 def _run_graphs(args):
     scan = enumerate_colorings()
-    classes = enumerate_valid_party_graphs(5, args.min_edges)
-    # survivors always have a four-edge heavy party, so classify against the
-    # four-edge classes regardless of the listing threshold
-    heavy_classes = classes if args.min_edges <= 4 else enumerate_valid_party_graphs(5, 4)
-    class_keys = [g.canonical_form() for g in heavy_classes]
-    per_class = [0] * len(heavy_classes)
+    # every survivor has a four-edge heavy party, in one of these classes
+    classes = enumerate_valid_party_graphs(5, 4)
+    class_keys = [g.canonical_form() for g in classes]
+    per_class = [0] * len(classes)
     form_cache: dict[frozenset, tuple] = {}
     survivors = []
     for coloring in scan.survivors:
@@ -233,12 +230,15 @@ def _run_graphs(args):
         if key not in form_cache:
             form_cache[key] = heavy_graph.canonical_form()
         per_class[class_keys.index(form_cache[key])] += 1
-        survivors.append({"labels": "".join(coloring.labels), "heavy_parties": list(heavy)})
+        survivors.append({
+            "labels": "".join(coloring.labels),
+            "heavy_parties": list(heavy),
+            "split": "".join(extension_split(coloring)),
+        })
     doc = {
         "scanned": scan.scanned,
         "survivor_count": len(scan.survivors),
         "classes": [_graph_document(g) for g in classes],
-        "heavy_classes": [_graph_document(g) for g in heavy_classes],
         "survivors_per_class": per_class,
         "survivors": survivors,
     }

@@ -1,12 +1,18 @@
 """Combinatorics behind the four-member theorem.
 
-A five-member three-qubit UPB would induce three orthogonality graphs on K5
-whose edges cover all ten vertex pairs.  Valid per-party graphs have max
-valence 2 and no odd cycles; exhaustive scanning of the 3^10 single-party
-edge assignments leaves the surviving colorings, and
-:func:`~upbkit.product_search.is_extendible` decides exactly that every
-random realization of a survivor extends, refuting the five-member
-hypothesis.
+A five-member three-qubit UPB would induce a coloring of K5: every member
+pair is orthogonal on some party, and labeling each pair with one such party
+gives three orthogonality graphs covering all ten pairs.  On a qubit,
+orthogonal means perpendicular, so a party graph has no odd cycle, and the
+members on one side of a component share their factor up to phase.
+Exhaustive scanning of the 3^10 single-party edge assignments keeps the
+colorings whose graphs also have max valence 2, and :func:`extension_split`
+proves on the coloring itself that each survivor extends in every
+realization, refuting the five-member hypothesis with no tolerance.  The
+valence rule is a consequence, not an assumption: a vertex of valence 3 puts
+its three neighbours in one class, and the other two members take a party
+each.  :func:`realize_coloring` draws concrete families of a coloring, which
+:func:`~upbkit.product_search.is_extendible` cross-checks.
 """
 
 from __future__ import annotations
@@ -48,31 +54,35 @@ class PartyGraph:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i},{j}) out of range for {self.n} vertices")
 
-    def adjacency(self) -> list[list[int]]:
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    def sides(self) -> list[tuple[int, int]] | None:
+        """Each vertex's (component's smallest vertex, side), or None when an
+        odd cycle leaves the graph with no 2-coloring."""
+        sides, closing = self._unite()
+        return None if closing else sides
 
-    def components(self) -> list[list[int]]:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
+    def _unite(self) -> tuple[list[tuple[int, int]] | None, tuple[int, int] | None]:
+        # parity union-find over the edges in sorted order; a root is always
+        # its component's smallest vertex, and a side is the parity of the
+        # path to it.  Stops at the first edge that closes an odd cycle.
+        root = list(range(self.n))
+        parity = [0] * self.n
+
+        def find(v: int) -> tuple[int, int]:
+            side = 0
+            while root[v] != v:
+                side ^= parity[v]
+                v = root[v]
+            return v, side
+
+        for i, j in sorted(self.edges):
+            (ri, si), (rj, sj) = find(i), find(j)
+            if ri == rj:
+                if si == sj:
+                    return None, (i, j)
                 continue
-            queue, comp = [start], []
-            seen[start] = True
-            while queue:
-                v = queue.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+            lo, hi = min(ri, rj), max(ri, rj)
+            root[hi], parity[hi] = lo, si ^ sj ^ 1
+        return [find(v) for v in range(self.n)], None
 
     def canonical_form(self) -> tuple[tuple[int, int], ...]:
         """Lexicographically smallest edge list over all vertex relabelings."""
@@ -89,58 +99,20 @@ class PartyGraph:
 @dataclass(frozen=True)
 class Violation:
     kind: str  # "valence" or "odd_cycle"
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # the vertex, or the edge that closes the cycle
 
 
 def check_party_constraints(g: PartyGraph) -> list[Violation]:
-    """Valence-3 vertices and odd cycles, found by per-component 2-coloring."""
-    violations = []
-    adj = g.adjacency()
-    for v in range(g.n):
-        if len(adj[v]) >= 3:
-            violations.append(Violation("valence", (v,)))
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v] and w != parent[v]:
-                    cycle = _odd_cycle_through(v, w, parent)
-                    if cycle is not None:
-                        violations.append(Violation("odd_cycle", cycle))
-                        # one odd cycle per component is enough evidence
-                        queue = []
-                        break
+    """Vertices of valence 3 or more, then the edge that closes an odd cycle."""
+    degree = [0] * g.n
+    for edge in g.edges:
+        for v in edge:
+            degree[v] += 1
+    violations = [Violation("valence", (v,)) for v in range(g.n) if degree[v] >= 3]
+    _, closing = g._unite()
+    if closing is not None:
+        violations.append(Violation("odd_cycle", closing))
     return violations
-
-
-def _odd_cycle_through(v: int, w: int, parent: list[int]) -> tuple[int, ...] | None:
-    # v and w share a color, so their tree paths to the meeting ancestor have
-    # equal parity and the fundamental cycle through edge (v, w) is odd
-    path_v, path_w = [v], [w]
-    seen = {v: 0}
-    x = v
-    while parent[x] != -1:
-        x = parent[x]
-        seen[x] = len(path_v)
-        path_v.append(x)
-    x = w
-    while x not in seen:
-        x = parent[x]
-        if x == -1:
-            return None
-        path_w.append(x)
-    meet = seen[x]
-    return tuple(path_v[:meet + 1] + path_w[::-1][1:])
 
 
 def is_valid_party_graph(g: PartyGraph) -> bool:
@@ -195,23 +167,60 @@ class ColoringScan:
 
 
 def enumerate_colorings() -> ColoringScan:
-    """Scan all 3^10 single-party assignments of K5's edges; keep those whose
-    three induced party graphs all satisfy the constraints."""
+    """Scan all 3^10 single-party assignments of K5's edges, in
+    ``itertools.product(range(3), repeat=10)`` order; keep those whose three
+    induced party graphs all satisfy the constraints."""
     n_edges = len(K5_EDGES)
-    valid = np.zeros(1 << n_edges, dtype=bool)
-    for mask in range(1 << n_edges):
-        edges = frozenset(e for k, e in enumerate(K5_EDGES) if mask >> k & 1)
-        valid[mask] = is_valid_party_graph(PartyGraph(5, edges))
-    survivors = []
-    scanned = 0
-    for assignment in itertools.product(range(3), repeat=n_edges):
-        scanned += 1
-        masks = [0, 0, 0]
-        for k, party in enumerate(assignment):
-            masks[party] |= 1 << k
-        if valid[masks[0]] and valid[masks[1]] and valid[masks[2]]:
-            survivors.append(EdgeColoring(tuple(PARTY_LABELS[p] for p in assignment)))
-    return ColoringScan(scanned, tuple(survivors))
+    valid = np.array([
+        is_valid_party_graph(PartyGraph(5, (e for k, e in enumerate(K5_EDGES) if mask >> k & 1)))
+        for mask in range(1 << n_edges)
+    ])
+    # assignment a gives edge k the party of a's k-th base-3 digit, most
+    # significant first: the itertools.product order
+    index = np.arange(3 ** n_edges, dtype=np.int32)
+    masks = np.zeros((3, index.size), dtype=np.int32)
+    for k in range(n_edges):
+        masks[index // 3 ** (n_edges - 1 - k) % 3, index] |= 1 << k
+    kept = np.flatnonzero(valid[masks[0]] & valid[masks[1]] & valid[masks[2]])
+    digits = kept[:, None] // 3 ** np.arange(n_edges - 1, -1, -1) % 3
+    survivors = tuple(
+        EdgeColoring(tuple(PARTY_LABELS[p] for p in row)) for row in digits.tolist()
+    )
+    return ColoringScan(index.size, survivors)
+
+
+def extension_split(coloring: EdgeColoring) -> tuple[str, ...] | None:
+    """The first party per member, in ``itertools.product(range(3),
+    repeat=5)`` order, that puts each party's members into one (component,
+    side) class of that party's graph; None if no assignment does.
+
+    On a qubit ``a ⊥ b ⊥ c`` forces ``a ∥ c``, so the members on one side of
+    a component share their factor up to phase in every realization of the
+    coloring, whatever extra coincidences it has.  Per party, the state
+    perpendicular to its class's factor then gives a product vector
+    orthogonal to all five members (Bennett et al., quant-ph/9808030): the
+    split extends every realization, with no tolerance.  A coloring with an
+    odd cycle has no realization and raises ValueError.
+    """
+    classes = []
+    for party in PARTY_LABELS:
+        sides = coloring.party_graph(party).sides()
+        if sides is None:
+            raise ValueError(f"party {party}'s graph has an odd cycle; the coloring has no realization")
+        classes.append(sides)
+
+    # depth first over the members, parties in order: the product order
+    def assign(k: int, shared: tuple) -> tuple[str, ...] | None:
+        if k == 5:
+            return ()
+        for p in range(3):
+            if shared[p] in (None, classes[p][k]):
+                rest = assign(k + 1, shared[:p] + (classes[p][k],) + shared[p + 1:])
+                if rest is not None:
+                    return (PARTY_LABELS[p],) + rest
+        return None
+
+    return assign(0, (None, None, None))
 
 
 class RealizationError(RuntimeError):
@@ -221,21 +230,6 @@ class RealizationError(RuntimeError):
 def _random_qubit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
-
-
-def _bipartition(g: PartyGraph, comp: list[int]) -> dict[int, int]:
-    adj = g.adjacency()
-    color = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        v = queue.pop(0)
-        for w in adj[v]:
-            if w not in color:
-                color[w] = 1 - color[v]
-                queue.append(w)
-            elif color[w] == color[v]:
-                raise RealizationError("party graph has an odd cycle; not realizable")
-    return color
 
 
 def realize_coloring(
@@ -251,37 +245,27 @@ def realize_coloring(
     (qubit states alternate between a random state and its perpendicular), so
     labeled orthogonalities hold exactly.  The non-degeneracy margin applies
     to the free relations: overlaps across different components of the same
-    party are resampled into (margin, 1 - margin).
+    party are resampled into (margin, 1 - margin).  Components draw their
+    states in order of their smallest vertex.
     """
     from .upb import ProductState, perp_qubit
 
     rng = np.random.default_rng(seed)
     party_states: list[list[np.ndarray]] = []
     for party in PARTY_LABELS:
-        g = coloring.party_graph(party)
-        comps = g.components()
-        sides = [_bipartition(g, comp) for comp in comps]
-        comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+        sides = coloring.party_graph(party).sides()
+        if sides is None:
+            raise RealizationError("party graph has an odd cycle; not realizable")
+        roots = sorted({root for root, _ in sides})
+        free = [(i, j) for i, j in K5_EDGES if sides[i][0] != sides[j][0]]
         for _ in range(attempts):
-            states: list[np.ndarray | None] = [None] * 5
-            for comp, side in zip(comps, sides):
+            pairs = {}
+            for root in roots:
                 v = _random_qubit(rng)
-                vp = perp_qubit(v)
-                for vertex in comp:
-                    states[vertex] = v if side[vertex] == 0 else vp
-            ok = True
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    if comp_of[i] == comp_of[j]:
-                        continue
-                    ov = abs(np.vdot(states[i], states[j]))
-                    if not margin < ov < 1 - margin:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                party_states.append([s for s in states])
+                pairs[root] = (v, perp_qubit(v))
+            states = [pairs[root][side] for root, side in sides]
+            if all(margin < abs(np.vdot(states[i], states[j])) < 1 - margin for i, j in free):
+                party_states.append(states)
                 break
         else:
             raise RealizationError(

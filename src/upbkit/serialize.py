@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def complex_to_pair(z: complex) -> list[float]:

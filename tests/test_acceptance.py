@@ -34,7 +34,12 @@ from upbkit.filtering import (
     certify_gap,
     span_overlap,
 )
-from upbkit.graphs import enumerate_colorings, enumerate_valid_party_graphs, realize_coloring
+from upbkit.graphs import (
+    enumerate_colorings,
+    enumerate_valid_party_graphs,
+    extension_split,
+    realize_coloring,
+)
 from upbkit.linalg import trace_distance
 from upbkit.product_search import Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
@@ -116,7 +121,7 @@ def test_criterion_3_members_are_the_only_product_vectors(upbs):
 
 
 def test_criterion_4_five_member_refutation():
-    with criterion(4, "coloring scan, two heavy classes, realizations all extendible"):
+    with criterion(4, "coloring scan, two heavy classes, every survivor splits, realizations extend"):
         scan = enumerate_colorings()
         assert scan.scanned == 3 ** 10
         classes = enumerate_valid_party_graphs(5, 4)
@@ -125,6 +130,8 @@ def test_criterion_4_five_member_refutation():
         by_class = {f: [] for f in forms}
         cache: dict[frozenset, tuple] = {}
         for coloring in scan.survivors:
+            # the proof: each survivor extends in every realization
+            assert extension_split(coloring) is not None
             heavy = coloring.heavy_parties()
             assert heavy
             g = coloring.party_graph(heavy[0])

@@ -46,7 +46,7 @@ class TestExitCodes:
     def test_validate_upb_file(self, tmp_path, shifts_file):
         code, report = run(tmp_path, "validate", "--upb", shifts_file)
         assert code == 0
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["result"]["passed"] is True
         assert set(report["result"]) == {
             "dims", "n_members", "orthonormality_error", "member_count_ok",
@@ -72,6 +72,7 @@ class TestExitCodes:
         assert main(["build", "--angles", "0.0,1.0,1.0"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--grid", "5"]) == 3
         assert main(["validate", "--upb", "tiles", "--grid", "5"]) == 3
+        assert main(["graphs", "--min-edges", "4"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
         docs = (
@@ -142,6 +143,9 @@ class TestReports:
         assert report["result"]["survivor_count"] == 4590
         assert len(report["result"]["classes"]) == 2
         assert sum(report["result"]["survivors_per_class"]) == 4590
+        survivors = report["result"]["survivors"]
+        assert all(len(s["split"]) == 5 and set(s["split"]) <= set("ABC") for s in survivors)
+        assert survivors[0] == {"labels": "AABBBABACC", "heavy_parties": ["A", "B"], "split": "ACBAB"}
 
     def test_qutrit_extras_report(self, tmp_path):
         code, report = run(tmp_path, "qutrit-extras", "--upb", "tiles")

@@ -1,8 +1,14 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from upbkit.graphs import (
     K5_EDGES,
+    PARTY_LABELS,
     ColoringScan,
     EdgeColoring,
     PartyGraph,
@@ -11,6 +17,7 @@ from upbkit.graphs import (
     check_party_constraints,
     enumerate_colorings,
     enumerate_valid_party_graphs,
+    extension_split,
     is_valid_party_graph,
     realize_coloring,
 )
@@ -20,6 +27,19 @@ from upbkit.product_search import is_extendible
 # an isolated vertex (canonical labelings from exhaustive enumeration)
 PATH_FORM = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})).canonical_form()
 CYCLE_FORM = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})).canonical_form()
+
+
+@st.composite
+def bipartite_colorings(draw) -> EdgeColoring:
+    # bit p of vertex v's code is v's side in party p's 2-coloring; an edge
+    # takes a party whose sides it crosses, which distinct codes guarantee.
+    # Every bipartite coloring arises this way.
+    codes = draw(st.lists(st.integers(0, 7), min_size=5, max_size=5, unique=True))
+    labels = []
+    for i, j in K5_EDGES:
+        parties = [PARTY_LABELS[p] for p in range(3) if (codes[i] ^ codes[j]) >> p & 1]
+        labels.append(draw(st.sampled_from(parties)))
+    return EdgeColoring(tuple(labels))
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +56,9 @@ class TestPartyConstraints:
         g = PartyGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
         violations = check_party_constraints(g)
         assert any(v.kind == "odd_cycle" for v in violations)
+        # edges unite in sorted order, so (1, 2) closes the cycle
+        assert violations == [Violation("odd_cycle", (1, 2))]
+        assert g.sides() is None
 
     def test_star_has_valence_violation(self):
         g = PartyGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
@@ -45,6 +68,12 @@ class TestPartyConstraints:
     def test_five_cycle_is_odd(self):
         g = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
         assert any(v.kind == "odd_cycle" for v in check_party_constraints(g))
+
+    def test_sides_of_a_path_and_a_four_cycle(self):
+        path = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
+        assert path.sides() == [(0, 0), (0, 1), (0, 0), (0, 1), (0, 0)]
+        cycle = PartyGraph(5, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)}))
+        assert cycle.sides() == [(0, 0), (1, 0), (1, 1), (1, 0), (1, 1)]
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -129,17 +158,21 @@ class TestRealizeColoring:
             hit = is_extendible(members)
             assert hit is not None and hit.residual <= 1e-9
 
-    def test_full_survivor_sweep_always_extendible(self, scan):
-        # the refutation experiment: every survivor, ten realizations each,
-        # always an extension product vector in the three-dim complement
+    def test_one_realization_per_survivor_matches_its_split(self, scan):
+        # extension_split is the proof; one realization per survivor checks
+        # it: the exact extension exists, and its factor on each member's
+        # split party is orthogonal to that member
         for idx, coloring in enumerate(scan.survivors):
-            for rep in range(10):
-                members = realize_coloring(coloring, seed=idx * 10 + rep)
-                ext = is_extendible(members)
-                leak = np.sqrt(
-                    sum(abs(np.vdot(m.tensor, ext.tensor)) ** 2 for m in members)
-                )
-                assert leak <= 1e-9
+            split = extension_split(coloring)
+            members = realize_coloring(coloring, seed=idx * 10)
+            ext = is_extendible(members)
+            leak = np.sqrt(
+                sum(abs(np.vdot(m.tensor, ext.tensor)) ** 2 for m in members)
+            )
+            assert leak <= 1e-9
+            for m, label in zip(members, split):
+                p = PARTY_LABELS.index(label)
+                assert abs(np.vdot(ext.factors[p], m.factors[p])) <= 1e-12
 
     def test_sampled_survivors_extendible_by_search(self, scan):
         rng = np.random.default_rng(22)
@@ -151,6 +184,54 @@ class TestRealizeColoring:
     def test_unrealizable_margin_fails(self, scan):
         with pytest.raises(RealizationError):
             realize_coloring(scan.survivors[0], seed=3, margin=0.49, attempts=5)
+
+
+class TestExtensionSplit:
+    def test_every_survivor_splits(self, scan):
+        for coloring in scan.survivors:
+            split = extension_split(coloring)
+            assert split is not None and len(split) == 5
+            for party in PARTY_LABELS:
+                sides = coloring.party_graph(party).sides()
+                assert len({sides[v] for v in range(5) if split[v] == party}) <= 1
+
+    def test_first_split_in_product_order(self, scan):
+        for coloring in scan.survivors[::50]:
+            classes = [coloring.party_graph(p).sides() for p in PARTY_LABELS]
+            first = next(
+                split for split in itertools.product(range(3), repeat=5)
+                if all(len({classes[p][v] for v in range(5) if split[v] == p}) <= 1 for p in range(3))
+            )
+            assert extension_split(coloring) == tuple(PARTY_LABELS[p] for p in first)
+
+    def test_odd_cycle_has_no_realization(self):
+        # all ten edges on A: K5 has triangles
+        with pytest.raises(ValueError):
+            extension_split(EdgeColoring(("A",) * 10))
+
+    @settings(max_examples=60, deadline=None)
+    @given(coloring=bipartite_colorings())
+    def test_valence_is_a_consequence(self, coloring):
+        # a bipartite coloring that breaks the valence rule still splits:
+        # the rule only prunes colorings that extend anyway
+        graphs = [coloring.party_graph(p) for p in PARTY_LABELS]
+        assert all(g.sides() is not None for g in graphs)
+        assume(not all(is_valid_party_graph(g) for g in graphs))
+        assert extension_split(coloring) is not None
+
+
+def test_realizations_and_survivor_order_are_pinned(scan):
+    # sha256 digests taken before the parity union-find replaced the BFS
+    # traversals; the benchmark's refute inputs depend on both
+    order = "\n".join("".join(c.labels) for c in scan.survivors)
+    assert hashlib.sha256(order.encode()).hexdigest() == (
+        "68c6bbb0174d95b6283b24950ee6f9a59d24d4721d5b9cb0c5df04f26b24e5ba"
+    )
+    h = hashlib.sha256()
+    for i in range(0, len(scan.survivors), 7):
+        for m in realize_coloring(scan.survivors[i], seed=i):
+            h.update(m.tensor.tobytes())
+    assert h.hexdigest() == "5643d414f6a52e2cbfb8858d500314f431902583f1b609a6023a75eb20c66aef"
 
 
 def test_coloring_validation():
