@@ -9,14 +9,20 @@ matching fidelity ceiling by multistart optimization over filter space.
 Both interior objectives work on the source state's support ``C`` (with
 ``rho_S = C C^dag / k``) and are optimized exactly, one 2x2 factor per
 step: the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` by a 4x4 eigenvector,
-the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form.  A restart
-runs up to ``budget // 48`` sweeps of three steps.  The witness infimum may
-lie on the orbit boundary, whose limit states are mixtures of product
-states; there it is the least weight a product state puts on the target's
-span, reached by up to ``boundary_budget // 12`` sweeps of exact
-single-qubit steps.  A restart that a sweep leaves bitwise unchanged stops
-(:func:`_sweeps`); the others run on, with the same results.  Multistart
-certifies no global optimum: the results are empirical estimates.
+the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form from the
+polar factor of ``T^dag X C``.  A restart runs up to ``budget // 48`` sweeps
+of three steps.  The witness infimum may lie on the orbit boundary, whose
+limit states are mixtures of product states; there it is the least weight a
+product state puts on the target's span, reached by up to
+``boundary_budget // 12`` sweeps of exact single-qubit steps.  One driver,
+:func:`_sweeps`, runs all three pools and drops a restart from the batch
+once it is done, with the same results as sweeping every restart to the
+cap.  A witness or product-state restart is done when a sweep leaves it
+bitwise unchanged.  The fidelity ascent extrapolates each sweep along its
+own direction, keeps the extrapolated point only if it is no worse, and a
+restart is done when a sweep gains at most ``_STALL_GAIN``
+(:func:`_ascent_sweep`).  Multistart certifies no global optimum: the
+results are empirical estimates.
 """
 
 from __future__ import annotations
@@ -38,6 +44,10 @@ _INVALID = 2.0  # objective placeholder outside [0, 1]
 # witness restarts below it keep their factors, and no step goes below it:
 # there the witness is a ratio of rounding-sized norms
 _FREEZE_PROBABILITY = 1e-6
+# a fidelity restart whose sweep gains at most this much stops
+_STALL_GAIN = 1e-14
+# the extrapolation factor of the fidelity ascent grows by this on success
+_BETA_GROWTH = 3.0
 
 
 class EquivalentPairError(ValueError):
@@ -268,8 +278,9 @@ class GapSearchConfig:
     pools (the compass search's sweep count at 24 parameters, which the
     budgets were set for), and ``boundary_restarts`` product states of up to
     ``boundary_budget // 12`` sweeps of qubit steps in the boundary probe.
-    The sweep counts are per-restart upper bounds: a restart that a sweep
-    leaves bitwise unchanged stops there."""
+    The sweep counts are per-restart upper bounds: a witness or product-state
+    restart that a sweep leaves bitwise unchanged stops there, and a fidelity
+    restart stops once a sweep gains at most 1e-14 in fidelity."""
 
     restarts: int = 200
     budget: int = 5000
@@ -475,23 +486,45 @@ def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarr
     return out
 
 
+def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(||Z||_*, U)`` for each (k, k) ``Z``, with ``U`` its polar factor:
+    ``Re tr(U Z) = ||Z||_*`` and ``||U||_2 <= 1``.
+
+    From ``Z^dag Z = V diag(lam) V^dag``, ``U = V diag(lam)^-1/2 (Z V)^dag``
+    with zero weight for ``lam <= 1e-24 lam_max``, so ``U`` is a partial
+    isometry on a rank-deficient ``Z`` and zero on ``Z = 0``.  ``Z V`` is
+    formed first: a rounding-sized eigenvalue then scales only its own row,
+    which ``Z v`` keeps at rounding size.  The nuclear norm is scored as
+    ``Re tr(U Z)``, not as ``sum sqrt(lam)``, which such eigenvalues spoil.
+    """
+    lam, vecs = np.linalg.eigh(np.swapaxes(z.conj(), 1, 2) @ z)
+    keep = lam > 1e-24 * lam[:, -1:]
+    inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
+    unitary = vecs @ (inv_root[:, :, None] * np.swapaxes((z @ vecs).conj(), 1, 2))
+    return (unitary * np.swapaxes(z, 1, 2)).sum(axis=(1, 2)).real, unitary
+
+
+def _image_fidelity(y: np.ndarray, tcomp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negative fidelity ``-||Z||_* / (sqrt(r) ||Y||_F)`` of each (8, k) image
+    ``Y = X C`` to the target's state, with ``Z = T^dag Y`` for the (8, r)
+    support ``T`` (rows ordered as ``Y``'s), and the polar factor of ``Z``."""
+    nuclear, unitary = _polar(tcomp.conj().T @ y)
+    norm2, valid = _support_weight(y)
+    value = -nuclear / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
+    return np.where(valid, value, _INVALID), unitary
+
+
 def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
     """Negative fidelity of each filter's output to the target's state, and
-    the unitary ``U`` with ``Re tr(U Z) = ||Z||_*`` for ``Z = T^dag X C``.
+    the polar factor ``U`` with ``Re tr(U Z) = ||Z||_*`` for ``Z = T^dag X C``.
 
     With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r`` the fidelity is
     ``||Z||_* / (sqrt(r) ||X C||_F)``; no 8x8 operator is formed.
     """
-    comp, tcomp = source.complement_basis, target.complement_basis
-    y = _apply_factors(fac, comp)
-    left, s, right_h = np.linalg.svd(tcomp.conj().T @ y)
-    norm2, valid = _support_weight(y)
-    value = -s.sum(axis=1) / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
-    unitary = np.swapaxes(right_h.conj(), 1, 2) @ np.swapaxes(left.conj(), 1, 2)
-    return np.where(valid, value, _INVALID), unitary
+    return _image_fidelity(_apply_factors(fac, source.complement_basis), target.complement_basis)
 
 
-def _block_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray:
+def _block_step(fac: np.ndarray, q: int, unitary: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, ...]:
     """Maximize the support fidelity exactly over party ``q``'s factor.
 
     With ``U`` the polar factor of ``Z`` at the current point, ``Re tr(U Z)``
@@ -499,10 +532,12 @@ def _block_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray
     ``tr(A G A^dag)`` for the Gram ``G`` of the other two factors applied to
     ``C``.  By Cauchy-Schwarz the ratio peaks at ``A ~ conj(c) G^-1``, and
     since ``||Z||_* >= Re tr(U Z)`` the fidelity never decreases.  Restarts
-    whose ``G`` has condition number above 1e12 keep their factor.
+    whose ``G`` has condition number above 1e12, or whose ``U`` is zero,
+    keep their factor.  Returns the new factors with their negative
+    fidelity and polar factor (:func:`_image_fidelity`), scored from the
+    image ``A W`` the step already holds.
     """
-    n = fac.shape[0]
-    _, unitary = _support_fidelity(fac, source, target)
+    n, k = fac.shape[0], source.complement_basis.shape[1]
     w, gram, _, ok = _party_gram(fac, q, source)
     tu = _party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2), q)
     c = tu @ np.swapaxes(w, 1, 2)
@@ -512,7 +547,42 @@ def _block_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray
     ok &= np.abs(step).max(axis=(1, 2)) > 0
     out = fac.copy()
     out[ok, q] = step[ok]
-    return out
+    tcomp = _party_first(target.complement_basis[None], q).reshape(8, -1)  # rows (a, rest)
+    return (out, *_image_fidelity((out[:, q] @ w).reshape(n, 8, k), tcomp))
+
+
+def _ascent_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
+    """The fidelity ascent's state at the given factors, with ``beta = 1``."""
+    return (fac, *_support_fidelity(fac, source, target), np.ones(len(fac)))
+
+
+def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
+    """One sweep of the fidelity ascent on ``(factors, value, U, beta)``:
+    the negative fidelity ``value`` and polar factor ``U`` at the factors,
+    and each restart's extrapolation factor ``beta``.
+
+    Three block steps (:func:`_block_step`) take the factors ``old`` to
+    ``new``; the extrapolated point ``new + beta (new - old)``, normalized,
+    replaces ``new`` only if its fidelity is at least ``new``'s, so no sweep
+    lowers a restart's fidelity.  ``beta`` grows by ``_BETA_GROWTH`` when the
+    extrapolation is taken and resets to 1 when it is not.  A restart stays
+    live while its sweep gains more than ``_STALL_GAIN`` in fidelity.
+    """
+    old, value, unitary, beta = state
+    new = old
+    for q in range(3):
+        new, new_value, unitary = _block_step(new, q, unitary, source, target)
+    ext = _unit_spectral(new + beta[:, None, None, None] * (new - old))
+    ext_value, ext_unitary = _support_fidelity(ext, source, target)
+    take = (ext_value <= new_value) & (ext_value < _INVALID)
+    new_value = np.where(take, ext_value, new_value)
+    state = (
+        np.where(take[:, None, None, None], ext, new),
+        new_value,
+        np.where(take[:, None, None], ext_unitary, unitary),
+        np.where(take, beta * _BETA_GROWTH, 1.0),
+    )
+    return state, value - new_value > _STALL_GAIN
 
 
 def _qubit_step(qubits: np.ndarray, q: int, target: UPB) -> np.ndarray:
@@ -528,30 +598,44 @@ def _qubit_step(qubits: np.ndarray, q: int, target: UPB) -> np.ndarray:
     return out
 
 
-def _sweeps(state: np.ndarray, sweeps: int, step) -> np.ndarray:
-    """``sweeps`` sweeps of ``step(state, q)`` for q = 0, 1, 2 over a batch of
-    restarts (the leading axis), each run only on the live restarts.
-
-    A step maps each restart on its own, by arithmetic that does not depend
-    on the rest of the batch, so a restart that a whole sweep leaves bitwise
-    unchanged stays so: it is dropped from the batch and its row keeps its
-    value.  Every row equals that of the plain loop.
-    """
+def _fixed_point_sweep(step):
+    """A sweep of ``step(state, q)`` for q = 0, 1, 2 on a one-array state, for
+    :func:`_sweeps`: a restart stays live while the sweep changes its bits.
+    A restart that a whole sweep leaves bitwise unchanged stays so."""
     def bits(a):
         return a.reshape(len(a), -1).view(np.uint8)
 
-    out = np.empty_like(state)
-    live = np.arange(len(state))
+    def sweep(state):
+        (old,) = state
+        new = old
+        for q in range(3):
+            new = step(new, q)
+        return (new,), (bits(new) != bits(old)).any(axis=1)
+    return sweep
+
+
+def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:
+    """Up to ``sweeps`` calls of ``sweep`` over a batch of restarts, each call
+    run only on the live ones.
+
+    ``state`` is a tuple of arrays whose leading axis runs over the restarts,
+    and ``sweep(state)`` returns the next state and, per restart, whether it
+    stays live.  A sweep maps each restart on its own, by arithmetic that
+    does not depend on the rest of the batch, so a restart that leaves the
+    batch keeps the row its last sweep gave it, and every row equals that
+    of sweeping the whole batch with the same per-restart stop.
+    """
+    out = tuple(np.empty_like(a) for a in state)
+    live = np.arange(len(state[0]))
     for _ in range(sweeps):
         if not live.size:
             break
-        new = state
-        for q in range(3):
-            new = step(new, q)
-        moved = (bits(new) != bits(state)).any(axis=1)
-        out[live[~moved]] = new[~moved]
-        live, state = live[moved], new[moved]
-    out[live] = state
+        state, moving = sweep(state)
+        for o, a in zip(out, state):
+            o[live[~moving]] = a[~moving]
+        live, state = live[moving], tuple(a[moving] for a in state)
+    for o, a in zip(out, state):
+        o[live] = a
     return out
 
 
@@ -575,14 +659,15 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
-    fac = _sweeps(_interior_starts(rng, config.restarts), max(1, config.budget // 48),
-                  lambda f, q: _witness_step(f, q, source, target))
+    (fac,) = _sweeps((_interior_starts(rng, config.restarts),), max(1, config.budget // 48),
+                     _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target)))
     fi, _ = _overlap_objective(fac, source, target)
     point = _interior_point(source, fac[int(np.argmin(fi))])
     theta = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
     phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3)))
     qubits = np.stack([np.cos(theta), np.sin(theta) * phase], axis=-1)
-    qubits = _sweeps(qubits, max(1, config.boundary_budget // 12), lambda v, q: _qubit_step(v, q, target))
+    (qubits,) = _sweeps((qubits,), max(1, config.boundary_budget // 12),
+                        _fixed_point_sweep(lambda v, q: _qubit_step(v, q, target)))
     products = np.einsum("ni,nj,nk->nijk", qubits[:, 0], qubits[:, 1], qubits[:, 2]).reshape(-1, 8, 1)
     fb, _ = _witness_value(products, target.span_basis)
     best = min(fi.min(), fb.min())
@@ -603,15 +688,17 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     """Empirical maximum fidelity between the target's bound entangled state
     and single-filter outputs of the source's.
 
-    Each restart runs up to ``budget // 48`` sweeps of exact block steps
-    (:func:`_block_step`) over the three factors; the best filter is
+    Each restart runs up to ``budget // 48`` sweeps of :func:`_ascent_sweep`:
+    three exact block steps (:func:`_block_step`) over the factors, then an
+    extrapolated point kept only if its fidelity is no lower.  A restart
+    stops early once a sweep gains at most 1e-14.  The best filter is
     re-scored through :func:`apply_filter`.  Returns
     ``(fidelity, point, fidelity_optima)``.
     """
     config = config or GapSearchConfig()
-    fac = _sweeps(_interior_starts(np.random.default_rng(config.seed + 1), config.restarts),
-                  max(1, config.budget // 48), lambda f, q: _block_step(f, q, source, target))
-    fi, _ = _support_fidelity(fac, source, target)
+    starts = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
+    fac, fi, _, _ = _sweeps(_ascent_start(starts, source, target), max(1, config.budget // 48),
+                            lambda s: _ascent_sweep(s, source, target))
     point = _interior_point(source, fac[int(np.argmin(fi))])
     return min(max(-float(fi.min()), 0.0), 1.0), point, (-fi).tolist()
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_local_filter, random_separable, random_state
-from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity
+from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
     EquivalentPairError,
     GapSearchConfig,
@@ -23,9 +23,13 @@ from upbkit.filtering import (
 from upbkit.filtering import (
     _FREEZE_PROBABILITY,
     _INVALID,
+    _ascent_start,
+    _ascent_sweep,
     _block_step,
+    _fixed_point_sweep,
     _interior_starts,
     _overlap_objective,
+    _polar,
     _qubit_step,
     _support_fidelity,
     _sweeps,
@@ -53,19 +57,27 @@ def product_weight(qubits: np.ndarray, target) -> np.ndarray:
     return _witness_value(psi, target.span_basis)[0]
 
 
-def plain_sweeps(state: np.ndarray, sweeps: int, step) -> np.ndarray:
-    """``sweeps`` sweeps of three steps on the whole batch, no restart retired."""
+def plain_sweeps(state: tuple, sweeps: int, sweep) -> tuple:
+    """``sweeps`` sweeps on the whole batch, no restart retired: a restart
+    that a sweep ends keeps that sweep's row from then on."""
+    done = np.zeros(len(state[0]), dtype=bool)
     for _ in range(sweeps):
-        for q in range(3):
-            state = step(state, q)
+        new, moving = sweep(state)
+        state = tuple(np.where(done.reshape(-1, *[1] * (a.ndim - 1)), a, b) for a, b in zip(state, new))
+        done |= ~moving
     return state
 
 
-def recording(step, sizes: list):
-    """``step`` that appends the batch size of every call to ``sizes``."""
-    def run(state, q):
-        sizes.append(len(state))
-        return step(state, q)
+def same_rows(a: tuple, b: tuple) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def recording(call, sizes: list):
+    """``call`` that appends the batch size of every call to ``sizes``; its
+    first argument is the batch, an array or a tuple of arrays."""
+    def run(state, *args):
+        sizes.append(len(state[0]) if isinstance(state, tuple) else len(state))
+        return call(state, *args)
     return run
 
 
@@ -352,13 +364,49 @@ class TestFidelityAscent:
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
         fac = _interior_starts(np.random.default_rng(seed), 8)
-        value, _ = _support_fidelity(fac, source, target)
+        value, unitary = _support_fidelity(fac, source, target)
         for _ in range(3):
             for q in range(3):
-                fac = _block_step(fac, q, source, target)
-                new, _ = _support_fidelity(fac, source, target)
+                fac, new, unitary = _block_step(fac, q, unitary, source, target)
                 assert (new <= value + 1e-12).all()  # negative fidelity
+                assert np.abs(new - _support_fidelity(fac, source, target)[0]).max() < 1e-12
                 value = new
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sweeps_never_lower_the_fidelity(self, angles, seed):
+        # an accepted sweep ends at the extrapolated point or at the plain
+        # block steps' point; either way no restart loses fidelity
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        state = _ascent_start(_interior_starts(np.random.default_rng(seed), 8), source, target)
+        for _ in range(8):
+            new, _ = _ascent_sweep(state, source, target)
+            assert (new[1] <= state[1] + 1e-12).all()  # negative fidelity
+            assert np.abs(new[1] - _support_fidelity(new[0], source, target)[0]).max() < 1e-12
+            state = new
+
+    def test_polar_factor(self):
+        rng = np.random.default_rng(61)
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        zs = np.concatenate([
+            gaussian(16, 4, 4),
+            gaussian(16, 4, 2) @ gaussian(16, 2, 4),
+            gaussian(16, 4, 1) @ gaussian(16, 1, 4),
+            np.zeros((2, 4, 4)),
+        ])
+        nuclear, unitary = _polar(zs)
+        for z, nu, u in zip(zs, nuclear, unitary):
+            scale = np.linalg.norm(z, 2)
+            reference = np.linalg.svd(z, compute_uv=False).sum()
+            assert abs(np.trace(u @ z).real - reference) <= 1e-12 * scale
+            assert abs(nu - reference) <= 1e-12 * scale
+            assert np.linalg.norm(u, 2) <= 1 + 1e-12
+        assert np.array_equal(unitary[-2:], np.zeros((2, 4, 4)))
 
     def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
         # |t0,t1,t2><S_0| annihilates the source state, and with two such
@@ -368,10 +416,12 @@ class TestFidelityAscent:
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
+        _, fac_unitary = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        _, batch_unitary = _support_fidelity(batch, shifts_class_upb, third_class_upb)
         for _ in range(4):
             for q in range(3):
-                fac = _block_step(fac, q, shifts_class_upb, third_class_upb)
-                batch = _block_step(batch, q, shifts_class_upb, third_class_upb)
+                fac, _, fac_unitary = _block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
+                batch, _, batch_unitary = _block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
         values, _ = _support_fidelity(batch, shifts_class_upb, third_class_upb)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
@@ -454,26 +504,28 @@ class TestSweeps:
         fac = _interior_starts(rng, restarts)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(restarts)])
         pools = [
-            (fac, budget // 48, lambda f, q: _witness_step(f, q, source, target)),
-            (fac, budget // 48, lambda f, q: _block_step(f, q, source, target)),
-            (qubits, budget // 12, lambda v, q: _qubit_step(v, q, target)),
+            ((fac,), budget // 48, _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target))),
+            (_ascent_start(fac, source, target), budget // 48, lambda s: _ascent_sweep(s, source, target)),
+            ((qubits,), budget // 12, _fixed_point_sweep(lambda v, q: _qubit_step(v, q, target))),
         ]
-        for state, sweeps, step in pools:
-            assert np.array_equal(_sweeps(state, sweeps, step), plain_sweeps(state, sweeps, step))
+        for state, sweeps, sweep in pools:
+            assert same_rows(_sweeps(state, sweeps, sweep), plain_sweeps(state, sweeps, sweep))
 
-    def test_batch_retires_down_to_a_single_restart(self, shifts_class_upb, third_class_upb):
+    def test_batch_retires_down_to_a_single_restart(self, shifts_class_upb, third_class_upb, monkeypatch):
         # kernel-aligned restarts keep their factors under the fidelity step,
-        # while a random restart still moves at the ulp level
+        # while a random restart still gains fidelity for 20 sweeps
         rng = np.random.default_rng(59)
         member = shifts_class_upb.members[0].factors
         aligned = [np.array([np.outer(random_state(rng), f.conj()) for f in member]) for _ in range(5)]
         batch = np.concatenate([np.array(aligned), _interior_starts(rng, 2)[1:]])
         sizes = []
-        step = recording(lambda f, q: _block_step(f, q, shifts_class_upb, third_class_upb), sizes)
-        out = _sweeps(batch, 20, step)
+        monkeypatch.setattr(filtering, "_block_step", recording(_block_step, sizes))
+        state = _ascent_start(batch, shifts_class_upb, third_class_upb)
+        sweep = lambda s: _ascent_sweep(s, shifts_class_upb, third_class_upb)
+        out = _sweeps(state, 20, sweep)
         assert sizes[:3] == [6, 6, 6] and sizes[3:] == [1] * 57
-        assert np.array_equal(out, plain_sweeps(batch, 20, step))
-        assert np.array_equal(out[:5], batch[:5])
+        assert same_rows(out, plain_sweeps(state, 20, sweep))
+        assert np.array_equal(out[0][:5], batch[:5])
 
     def test_all_frozen_batch_returns_after_one_sweep(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(60)
@@ -484,9 +536,18 @@ class TestSweeps:
         assert ((prob > 1e-10) & (prob < 1e-8)).all()
         sizes = []
         step = recording(lambda f, q: _witness_step(f, q, shifts_class_upb, third_class_upb), sizes)
-        out = _sweeps(near, 100, step)
+        (out,) = _sweeps((near,), 100, _fixed_point_sweep(step))
         assert sizes == [4, 4, 4]
         assert np.array_equal(out, near)
+
+    def test_fidelity_restarts_stop_within_half_the_cap(self, shifts_class_upb, third_class_upb, monkeypatch):
+        # 200 restarts of up to 5000 // 48 = 104 sweeps: 20 800 without the stop
+        sizes = []
+        monkeypatch.setattr(filtering, "_ascent_sweep", recording(_ascent_sweep, sizes))
+        config = GapSearchConfig(seed=3)
+        maximize_fidelity(shifts_class_upb, third_class_upb, config)
+        assert len(sizes) <= config.budget // 48
+        assert sum(sizes) <= config.restarts * (config.budget // 48) // 2
 
 
 class TestOptimizers:
