@@ -15,9 +15,9 @@ of three steps.  The witness infimum may lie on the orbit boundary, whose
 limit states are mixtures of product states; there it is the least weight a
 product state puts on the target's span, reached by up to
 ``boundary_budget // 12`` sweeps of exact single-qubit steps.  One driver,
-:func:`_sweeps`, runs all three pools and drops a restart from the batch
-once it is done, with the same results as sweeping every restart to the
-cap.  A witness or product-state restart is done when a sweep leaves it
+:func:`upbkit.linalg._sweeps` (shared with the product-vector search), runs
+all three pools and drops a restart from the batch once it is done, with
+the same results as sweeping every restart to the cap.  A witness or product-state restart is done when a sweep leaves it
 bitwise unchanged.  The fidelity ascent extrapolates each sweep along its
 own direction, keeps the extrapolated point only if it is no worse, and a
 restart is done when a sweep gains at most ``_STALL_GAIN``
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _sandwich_spectrum, kron_all
+from .linalg import DensityMatrix, _sandwich_spectrum, _sweeps, kron_all
 from .product_search import DEFAULT_SEED
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
@@ -612,31 +612,6 @@ def _fixed_point_sweep(step):
             new = step(new, q)
         return (new,), (bits(new) != bits(old)).any(axis=1)
     return sweep
-
-
-def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:
-    """Up to ``sweeps`` calls of ``sweep`` over a batch of restarts, each call
-    run only on the live ones.
-
-    ``state`` is a tuple of arrays whose leading axis runs over the restarts,
-    and ``sweep(state)`` returns the next state and, per restart, whether it
-    stays live.  A sweep maps each restart on its own, by arithmetic that
-    does not depend on the rest of the batch, so a restart that leaves the
-    batch keeps the row its last sweep gave it, and every row equals that
-    of sweeping the whole batch with the same per-restart stop.
-    """
-    out = tuple(np.empty_like(a) for a in state)
-    live = np.arange(len(state[0]))
-    for _ in range(sweeps):
-        if not live.size:
-            break
-        state, moving = sweep(state)
-        for o, a in zip(out, state):
-            o[live[~moving]] = a[~moving]
-        live, state = live[moving], tuple(a[moving] for a in state)
-    for o, a in zip(out, state):
-        o[live] = a
-    return out
 
 
 def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:

@@ -263,3 +263,30 @@ def random_density_matrix(rng: np.random.Generator, dims: Sequence[int], rank: i
     m = g @ g.conj().T
     m = m / m.trace().real
     return DensityMatrix(dims, (m + m.conj().T) / 2)
+
+
+def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:
+    """Up to ``sweeps`` calls of ``sweep`` over a batch of restarts, each call
+    run only on the live ones: the one driver of every batched multistart
+    loop (the gap pools of :mod:`upbkit.filtering` and the Gauss-Newton
+    starts of :mod:`upbkit.product_search`).
+
+    ``state`` is a tuple of arrays whose leading axis runs over the restarts,
+    and ``sweep(state)`` returns the next state and, per restart, whether it
+    stays live.  A sweep maps each restart on its own, by arithmetic that
+    does not depend on the rest of the batch, so a restart that leaves the
+    batch keeps the row its last sweep gave it, and every row equals that
+    of sweeping the whole batch with the same per-restart stop.
+    """
+    out = tuple(np.empty_like(a) for a in state)
+    live = np.arange(len(state[0]))
+    for _ in range(sweeps):
+        if not live.size:
+            break
+        state, moving = sweep(state)
+        for o, a in zip(out, state):
+            o[live[~moving]] = a[~moving]
+        live, state = live[moving], tuple(a[moving] for a in state)
+    for o, a in zip(out, state):
+        o[live] = a
+    return out

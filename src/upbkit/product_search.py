@@ -4,9 +4,12 @@ of product families.
 For the search, local states are parameterized by hyperspherical angles and
 phases (first component real-positive), and the squared norm of the
 out-of-subspace component is minimized by damped Gauss-Newton with a
-numerically evaluated Jacobian, run over many starts at once.  Completeness
-is heuristic at the configured resolution: the search documents a found-set,
-not a certified enumeration.  Whether a family of product states extends
+numerically evaluated Jacobian, run over many starts at once.  A start
+leaves the batch once it has converged, through the driver the gap pools of
+:mod:`upbkit.filtering` also use (:func:`upbkit.linalg._sweeps`), and ends
+where iterating the whole batch would leave it.  Completeness is heuristic
+at the configured resolution: the search documents a found-set, not a
+certified enumeration.  Whether a family of product states extends
 needs no search: :func:`is_extendible` decides it from the members' local
 factors.
 """
@@ -19,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import complement_basis, kron_all, orthonormality_error
+from .linalg import _sweeps, complement_basis, kron_all, orthonormality_error
 
 DEFAULT_SEED = 101
 # two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
@@ -28,6 +31,8 @@ DEDUP_TOL = 1e-6
 # dependent, one farther than RANK_INDEPENDENT_TOL independent
 RANK_DEPENDENT_TOL = 1e-10
 RANK_INDEPENDENT_TOL = 1e-8
+# a Gauss-Newton start whose squared residual is at most this is done
+_CONVERGED_RN2 = 1e-26
 
 
 @dataclass(frozen=True)
@@ -35,9 +40,10 @@ class SearchConfig:
     """Knobs for the multistart search.
 
     ``grid_resolution`` scales the number of starts (resolution^2 per polar
-    angle), drawn from ``seed``; a start counts as a hit once its residual is
-    at most ``residual_tol``.  Hits are deduplicated up to global phase at
-    the fixed ``DEDUP_TOL``.
+    angle), drawn from ``seed``; each start runs at most ``max_iterations``
+    Gauss-Newton iterations, fewer once it has converged, and counts as a
+    hit once its residual is at most ``residual_tol``.  Hits are
+    deduplicated up to global phase at the fixed ``DEDUP_TOL``.
     """
 
     grid_resolution: int = 16
@@ -226,24 +232,50 @@ def _start_params(rng: np.random.Generator, n_starts: int, gdims) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` whose rows do not depend on the batch size: BLAS computes a
+    one-row product by a matrix-vector kernel whose bits differ from the
+    matrix-matrix one, so a single row is computed as a pair."""
+    if len(v) == 1:
+        return (np.concatenate([v, v]) @ m)[:1]
+    return v @ m
+
+
+def _residual_fn(subspace: Subspace, partition):
+    """The batched residual of :func:`_refine` for a normalized ``partition``:
+    real and imaginary parts of each chart point's components off the
+    subspace, one row per point."""
+    dims = subspace.dims
+    gdims = _group_dims(dims, partition)
+    perp_conj = subspace.perp_basis.conj()
+
+    def residual_fn(params):
+        v = _interleave(dims, partition, _states_from_params(params, gdims))
+        rc = _rows_times(v, perp_conj)
+        return np.concatenate([rc.real, rc.imag], axis=1)
+    return residual_fn
+
+
 def _refine(params: np.ndarray, residual_fn, max_iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched damped Gauss-Newton.
+    """Batched damped Gauss-Newton, up to ``max_iterations`` iterations per
+    start.
 
     Chart phase parameters lose rank when a state component vanishes, so the
     normal equations can be arbitrarily ill-conditioned; for starts whose
     condition number exceeds 1e8 a Cauchy gradient-descent trial competes with
-    the damped step and the larger improvement wins.
+    the damped step and the larger improvement wins.  A start whose squared
+    residual is at most ``_CONVERGED_RN2`` takes no further step and leaves
+    the batch (:func:`~upbkit.linalg._sweeps`); ``residual_fn`` maps each row
+    on its own, so every start ends where iterating the whole batch would
+    leave it.
     """
     h = 1e-7
-    n, p = params.shape
-    r = residual_fn(params)
-    rn2 = np.einsum("nr,nr->n", r, r)
-    lam = np.full(n, 1e-8)
-    eye = np.eye(p)
-    for _ in range(max_iterations):
-        active = rn2 > 1e-26
-        if not active.any():
-            break
+    eye = np.eye(params.shape[1])
+
+    def iteration(state):
+        params, r, rn2, lam = state
+        n, p = params.shape
+        active = rn2 > _CONVERGED_RN2
         jac = np.empty((n, r.shape[1], p))
         for k in range(p):
             shifted = params.copy()
@@ -277,6 +309,11 @@ def _refine(params: np.ndarray, residual_fn, max_iterations: int) -> tuple[np.nd
         r = np.where(better[:, None], r_trial, r)
         rn2 = np.where(better, rn2_trial, rn2)
         lam = np.clip(np.where(better, lam * 0.3, lam * 10.0), 1e-12, 1e9)
+        return (params, r, rn2, lam), rn2 > _CONVERGED_RN2
+
+    r = residual_fn(params)
+    rn2 = np.einsum("nr,nr->n", r, r)
+    params, _, rn2, _ = _sweeps((params, r, rn2, np.full(len(params), 1e-8)), max_iterations, iteration)
     return params, np.sqrt(rn2)
 
 
@@ -302,18 +339,9 @@ def find_product_vectors(
     rng = np.random.default_rng(config.seed)
     starts = _start_params(rng, n_starts, gdims)
 
-    perp = subspace.perp_basis
-    if perp.shape[1] == 0:
+    if subspace.perp_basis.shape[1] == 0:
         raise ValueError("subspace is the full space; every product vector lies in it")
-    perp_conj = perp.conj()
-
-    def residual_fn(params):
-        states = _states_from_params(params, gdims)
-        v = _interleave(dims, partition, states)
-        rc = v @ perp_conj
-        return np.concatenate([rc.real, rc.imag], axis=1)
-
-    refined, resnorm = _refine(starts, residual_fn, config.max_iterations)
+    refined, resnorm = _refine(starts, _residual_fn(subspace, partition), config.max_iterations)
     converged = resnorm <= config.residual_tol
     if not converged.any():
         return []

@@ -32,11 +32,10 @@ from upbkit.filtering import (
     _polar,
     _qubit_step,
     _support_fidelity,
-    _sweeps,
     _witness_step,
     _witness_value,
 )
-from upbkit.linalg import PartitionCut, fidelity_projector_form, kron_all, partial_transpose, trace_distance
+from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose, trace_distance
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
 
