@@ -123,7 +123,8 @@ def build_parser() -> _Parser:
 
     def add_search_flags(p):
         p.add_argument("--grid", type=int, default=SearchConfig().grid_resolution,
-                       help="start-grid resolution per angular parameter")
+                       help="search resolution: resolution^2 random starts per complex "
+                            "dimension of the local states")
         p.add_argument("--tol", type=float, default=SearchConfig().residual_tol,
                        help="acceptance residual for product-vector hits")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -14,13 +14,14 @@ polar factor of ``T^dag X C``.  A restart runs up to ``budget // 48`` sweeps
 of three steps.  The witness infimum may lie on the orbit boundary, whose
 limit states are mixtures of product states; there it is the least weight a
 product state puts on the target's span, reached by up to
-``boundary_budget // 12`` sweeps of exact single-qubit steps.  One driver,
-:func:`upbkit.linalg._sweeps` (shared with the product-vector search), runs
-all three pools and drops a restart from the batch once it is done, with
-the same results as sweeping every restart to the cap.  A witness or product-state restart is done when a sweep leaves it
-bitwise unchanged.  The fidelity ascent extrapolates each sweep along its
-own direction, keeps the extrapolated point only if it is no worse, and a
-restart is done when a sweep gains at most ``_STALL_GAIN``
+``boundary_budget // 12`` sweeps of the product-vector search's exact
+descent (:func:`upbkit.product_search._product_descent`).  One driver,
+:func:`upbkit.linalg._sweeps`, runs all three pools and drops a restart
+from the batch once it is done, with the same results as sweeping every
+restart to the cap.  A witness or product-state restart is done when a
+sweep leaves it bitwise unchanged.  The fidelity ascent extrapolates each
+sweep along its own direction, keeps the extrapolated point only if it is
+no worse, and a restart is done when a sweep gains at most ``_STALL_GAIN``
 (:func:`_ascent_sweep`).  Multistart certifies no global optimum: the
 results are empirical estimates.
 """
@@ -33,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _sandwich_spectrum, _sweeps, kron_all
-from .product_search import DEFAULT_SEED
+from .linalg import DensityMatrix, _changed, _sandwich_spectrum, _sweeps, kron_all
+from .product_search import DEFAULT_SEED, _product_descent, finest_partition
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
 PROBABILITY_FLOOR = 1e-14
@@ -585,32 +586,16 @@ def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.nda
     return state, value - new_value > _STALL_GAIN
 
 
-def _qubit_step(qubits: np.ndarray, q: int, target: UPB) -> np.ndarray:
-    """Minimize the product weight exactly over qubit ``q``: with the other
-    two fixed, ``S^dag psi = N a`` is linear in its state ``a``, and the
-    lowest eigenvector of the 2x2 ``N^dag N`` is the minimizer."""
-    b, c = (qubits[:, p] for p in range(3) if p != q)
-    span = _party_first(target.span_basis.conj()[None], q).reshape(2, 4, -1)
-    nmat = np.einsum("arj,nr->nja", span, (b[:, :, None] * c[:, None]).reshape(-1, 4))
-    _, vecs = np.linalg.eigh(np.swapaxes(nmat.conj(), 1, 2) @ nmat)
-    out = qubits.copy()
-    out[:, q] = vecs[:, :, 0]
-    return out
-
-
 def _fixed_point_sweep(step):
     """A sweep of ``step(state, q)`` for q = 0, 1, 2 on a one-array state, for
     :func:`_sweeps`: a restart stays live while the sweep changes its bits.
     A restart that a whole sweep leaves bitwise unchanged stays so."""
-    def bits(a):
-        return a.reshape(len(a), -1).view(np.uint8)
-
     def sweep(state):
         (old,) = state
         new = old
         for q in range(3):
             new = step(new, q)
-        return (new,), (bits(new) != bits(old)).any(axis=1)
+        return (new,), _changed((new,), state)
     return sweep
 
 
@@ -629,7 +614,8 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     boundary limit's witness value is a weighted mean of the weights its
     three product states put on the target's span, and a limit with all
     weight on one party is a single product state, so the boundary pool
-    minimizes the product weight (:func:`_qubit_step`).  Returns
+    minimizes the product weight by the exact descent of the product-vector
+    search (:func:`~upbkit.product_search._product_descent`).  Returns
     ``(delta, point, interior_optima, boundary_optima)``.
     """
     config = config or GapSearchConfig()
@@ -641,13 +627,13 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     theta = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
     phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3)))
     qubits = np.stack([np.cos(theta), np.sin(theta) * phase], axis=-1)
-    (qubits,) = _sweeps((qubits,), max(1, config.boundary_budget // 12),
-                        _fixed_point_sweep(lambda v, q: _qubit_step(v, q, target)))
-    products = np.einsum("ni,nj,nk->nijk", qubits[:, 0], qubits[:, 1], qubits[:, 2]).reshape(-1, 8, 1)
+    *qubits, _ = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
+                                  [qubits[:, p] for p in range(3)], max(1, config.boundary_budget // 12))
+    products = np.einsum("ni,nj,nk->nijk", *qubits).reshape(-1, 8, 1)
     fb, _ = _witness_value(products, target.span_basis)
     best = min(fi.min(), fb.min())
     if fb.min() < fi.min():
-        psi = list(qubits[int(np.argmin(fb))])
+        psi = [q[int(np.argmin(fb))] for q in qubits]
         # the pure product state as the limit weighted on the (member, party)
         # with the largest coefficient, so the probe state is well defined
         coeffs = np.array([_boundary_coefficients(source, m) for m in range(source.n)])

@@ -265,11 +265,19 @@ def random_density_matrix(rng: np.random.Generator, dims: Sequence[int], rank: i
     return DensityMatrix(dims, (m + m.conj().T) / 2)
 
 
+def _changed(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> np.ndarray:
+    """Per restart, whether any array of ``new`` differs bitwise from its
+    counterpart in ``old``: the fixed-point test of the block sweeps."""
+    def bits(a):
+        return np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8)
+    return np.any([(bits(a) != bits(b)).any(axis=1) for a, b in zip(new, old)], axis=0)
+
+
 def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:
     """Up to ``sweeps`` calls of ``sweep`` over a batch of restarts, each call
     run only on the live ones: the one driver of every batched multistart
-    loop (the gap pools of :mod:`upbkit.filtering` and the Gauss-Newton
-    starts of :mod:`upbkit.product_search`).
+    loop (the gap pools of :mod:`upbkit.filtering` and the product-state
+    descent of :mod:`upbkit.product_search`).
 
     ``state`` is a tuple of arrays whose leading axis runs over the restarts,
     and ``sweep(state)`` returns the next state and, per restart, whether it

@@ -1,28 +1,28 @@
 """Product-vector search inside a linear subspace, and exact extendibility
 of product families.
 
-For the search, local states are parameterized by hyperspherical angles and
-phases (first component real-positive), and the squared norm of the
-out-of-subspace component is minimized by damped Gauss-Newton with a
-numerically evaluated Jacobian, run over many starts at once.  A start
-leaves the batch once it has converged, through the driver the gap pools of
-:mod:`upbkit.filtering` also use (:func:`upbkit.linalg._sweeps`), and ends
-where iterating the whole batch would leave it.  Completeness is heuristic
-at the configured resolution: the search documents a found-set, not a
-certified enumeration.  Whether a family of product states extends
-needs no search: :func:`is_extendible` decides it from the members' local
-factors.
+The search minimizes the weight ``||B^dag v||^2`` a product state ``v``
+puts on the subspace's complement (orthonormal basis ``B``) by an exact
+block descent from many random starts at once: with the other groups'
+factors held, the weight is a quadratic form in one group's factor, so each
+step is one small eigenproblem (:func:`_product_step`).  The gap
+certificate's boundary probe runs the same descent.  A start leaves the
+batch once done, through the driver the gap pools of :mod:`upbkit.filtering`
+also use (:func:`upbkit.linalg._sweeps`), and ends where sweeping the whole
+batch would leave it.  Completeness is heuristic at the configured number
+of starts: the search documents a found-set, not a certified enumeration.
+Whether a family of product states extends needs no search:
+:func:`is_extendible` decides it from the members' local factors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import _sweeps, complement_basis, kron_all, orthonormality_error
+from .linalg import _changed, _sweeps, complement_basis, kron_all, orthonormality_error
 
 DEFAULT_SEED = 101
 # two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
@@ -31,7 +31,7 @@ DEDUP_TOL = 1e-6
 # dependent, one farther than RANK_INDEPENDENT_TOL independent
 RANK_DEPENDENT_TOL = 1e-10
 RANK_INDEPENDENT_TOL = 1e-8
-# a Gauss-Newton start whose squared residual is at most this is done
+# a search start whose weight off the subspace is at most this is done
 _CONVERGED_RN2 = 1e-26
 
 
@@ -39,11 +39,12 @@ _CONVERGED_RN2 = 1e-26
 class SearchConfig:
     """Knobs for the multistart search.
 
-    ``grid_resolution`` scales the number of starts (resolution^2 per polar
-    angle), drawn from ``seed``; each start runs at most ``max_iterations``
-    Gauss-Newton iterations, fewer once it has converged, and counts as a
-    hit once its residual is at most ``residual_tol``.  Hits are
-    deduplicated up to global phase at the fixed ``DEDUP_TOL``.
+    ``grid_resolution`` scales the number of random unit-vector starts,
+    drawn from ``seed``: resolution^2 per complex dimension ``d_g - 1`` of
+    each group's states.  Each start runs at most ``max_iterations`` sweeps
+    of the descent, fewer once it has converged, and counts as a hit once
+    its residual is at most ``residual_tol``.  Hits are deduplicated up to
+    global phase at the fixed ``DEDUP_TOL``.
     """
 
     grid_resolution: int = 16
@@ -117,12 +118,15 @@ class Subspace:
 
 
 def normalize_partition(partition, n_parties: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted, disjoint groups covering all parties."""
+    """Sorted, disjoint groups covering all parties, at least two of them:
+    with one group every vector of the space is a product."""
     groups = [tuple(sorted(int(p) for p in g)) for g in partition]
     groups.sort(key=lambda g: g[0] if g else -1)
     flat = [p for g in groups for p in g]
     if sorted(flat) != list(range(n_parties)) or len(flat) != len(set(flat)):
         raise ValueError(f"partition {partition} is not a disjoint cover of {n_parties} parties")
+    if len(groups) < 2:
+        raise ValueError(f"partition {partition} has fewer than two groups")
     return tuple(groups)
 
 
@@ -192,129 +196,51 @@ def residual(factors: Sequence[np.ndarray], subspace: Subspace, partition=None) 
     return float(np.linalg.norm(perp.conj().T @ v))
 
 
-# ---------------------------------------------------------------------------
-# parameterization: per group of dimension d, (d-1) polar angles then (d-1)
-# phases; amplitudes follow the hyperspherical chain with component 0 real.
+def _product_step(factors, g: int, basis: np.ndarray, dims, partition) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``g``'s factor of least weight ``||B^dag v||^2`` with the other
+    factors of the product ``v`` held, and that weight, per start.
 
-def _param_layout(gdims):
-    sizes = [2 * (d - 1) for d in gdims]
-    offsets = np.cumsum([0] + sizes)
-    return sizes, offsets
-
-
-def _states_from_params(params: np.ndarray, gdims) -> list[np.ndarray]:
-    states = []
-    _, offsets = _param_layout(gdims)
-    for gi, d in enumerate(gdims):
-        block = params[:, offsets[gi]:offsets[gi + 1]]
-        t = block[:, : d - 1]
-        phi = block[:, d - 1:]
-        cos = np.cos(t)
-        sin = np.sin(t)
-        amps = np.empty((params.shape[0], d))
-        running = np.ones(params.shape[0])
-        for k in range(d - 1):
-            amps[:, k] = running * cos[:, k]
-            running = running * sin[:, k]
-        amps[:, d - 1] = running
-        state = amps.astype(complex)
-        state[:, 1:] = state[:, 1:] * np.exp(1j * phi)
-        states.append(state)
-    return states
-
-
-def _start_params(rng: np.random.Generator, n_starts: int, gdims) -> np.ndarray:
-    blocks = []
-    for d in gdims:
-        t = rng.uniform(0.0, math.pi / 2, size=(n_starts, d - 1))
-        phi = rng.uniform(0.0, 2 * math.pi, size=(n_starts, d - 1))
-        blocks.append(np.concatenate([t, phi], axis=1))
-    return np.concatenate(blocks, axis=1)
-
-
-def _rows_times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` whose rows do not depend on the batch size: BLAS computes a
-    one-row product by a matrix-vector kernel whose bits differ from the
-    matrix-matrix one, so a single row is computed as a pair."""
-    if len(v) == 1:
-        return (np.concatenate([v, v]) @ m)[:1]
-    return v @ m
-
-
-def _residual_fn(subspace: Subspace, partition):
-    """The batched residual of :func:`_refine` for a normalized ``partition``:
-    real and imaginary parts of each chart point's components off the
-    subspace, one row per point."""
-    dims = subspace.dims
-    gdims = _group_dims(dims, partition)
-    perp_conj = subspace.perp_basis.conj()
-
-    def residual_fn(params):
-        v = _interleave(dims, partition, _states_from_params(params, gdims))
-        rc = _rows_times(v, perp_conj)
-        return np.concatenate([rc.real, rc.imag], axis=1)
-    return residual_fn
-
-
-def _refine(params: np.ndarray, residual_fn, max_iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batched damped Gauss-Newton, up to ``max_iterations`` iterations per
-    start.
-
-    Chart phase parameters lose rank when a state component vanishes, so the
-    normal equations can be arbitrarily ill-conditioned; for starts whose
-    condition number exceeds 1e8 a Cauchy gradient-descent trial competes with
-    the damped step and the larger improvement wins.  A start whose squared
-    residual is at most ``_CONVERGED_RN2`` takes no further step and leaves
-    the batch (:func:`~upbkit.linalg._sweeps`); ``residual_fn`` maps each row
-    on its own, so every start ends where iterating the whole batch would
-    leave it.
+    ``B^dag v = M v_g``, where the (k, d_g) matrix ``M`` contracts ``B^dag``
+    with the other factors, so the lowest eigenvector of ``M^dag M`` is the
+    minimizer.  The weight is ``||M v_g||^2``: the eigenvalue's absolute
+    error near 1e-16 would hide a converged start.  Each product is one
+    small matrix per start, so a start's bits do not depend on its batch.
     """
-    h = 1e-7
-    eye = np.eye(params.shape[1])
+    n, k, d_g = len(factors[g]), basis.shape[1], factors[g].shape[1]
+    others = [h for h in range(len(partition)) if h != g]
+    order = list(partition[g]) + [p for h in others for p in partition[h]]
+    # rows over the other groups' indices, columns over (row of B^dag, index of v_g)
+    contract = np.moveaxis(basis.conj().reshape(*dims, k), order, range(len(dims)))
+    contract = contract.reshape(d_g, -1, k).transpose(1, 2, 0).reshape(-1, k * d_g)
+    rest = np.ones((n, 1), dtype=complex)
+    for h in others:
+        rest = (rest[:, :, None] * factors[h][:, None, :]).reshape(n, -1)
+    m = (rest[:, None, :] @ contract).reshape(n, k, d_g)
+    _, vecs = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)
+    v = vecs[:, :, 0]
+    mv = (m @ v[:, :, None])[:, :, 0]
+    return v, (mv.real ** 2 + mv.imag ** 2).sum(axis=1)
 
-    def iteration(state):
-        params, r, rn2, lam = state
-        n, p = params.shape
-        active = rn2 > _CONVERGED_RN2
-        jac = np.empty((n, r.shape[1], p))
-        for k in range(p):
-            shifted = params.copy()
-            shifted[:, k] += h
-            jac[:, :, k] = (residual_fn(shifted) - r) / h
-        jtj = np.einsum("nrp,nrq->npq", jac, jac)
-        jtr = np.einsum("nrp,nr->np", jac, r)
-        w = np.linalg.eigvalsh(jtj)
-        cond = w[:, -1] / np.clip(w[:, 0], 1e-300, None)
-        ill = (cond > 1e8) | (w[:, 0] <= 0)
-        lhs = jtj + (lam[:, None, None] + 1e-9) * eye
-        step_gn = -np.linalg.solve(lhs, jtr[:, :, None])[:, :, 0]
-        step_gn = np.where(active[:, None], step_gn, 0.0)
-        trial_gn = params + step_gn
-        r_gn = residual_fn(trial_gn)
-        rn2_gn = np.einsum("nr,nr->n", r_gn, r_gn)
-        jg = np.einsum("nrp,np->nr", jac, jtr)
-        denom = np.clip(np.einsum("nr,nr->n", jg, jg), 1e-300, None)
-        alpha = np.einsum("np,np->n", jtr, jtr) / denom
-        step_gd = -alpha[:, None] * jtr
-        step_gd = np.where((active & ill)[:, None], step_gd, 0.0)
-        trial_gd = params + step_gd
-        r_gd = residual_fn(trial_gd)
-        rn2_gd = np.einsum("nr,nr->n", r_gd, r_gd)
-        take_gd = ill & (rn2_gd < rn2_gn)
-        trial = np.where(take_gd[:, None], trial_gd, trial_gn)
-        r_trial = np.where(take_gd[:, None], r_gd, r_gn)
-        rn2_trial = np.where(take_gd, rn2_gd, rn2_gn)
-        better = (rn2_trial < rn2) & active
-        params = np.where(better[:, None], trial, params)
-        r = np.where(better[:, None], r_trial, r)
-        rn2 = np.where(better, rn2_trial, rn2)
-        lam = np.clip(np.where(better, lam * 0.3, lam * 10.0), 1e-12, 1e9)
-        return (params, r, rn2, lam), rn2 > _CONVERGED_RN2
 
-    r = residual_fn(params)
-    rn2 = np.einsum("nr,nr->n", r, r)
-    params, _, rn2, _ = _sweeps((params, r, rn2, np.full(len(params), 1e-8)), max_iterations, iteration)
-    return params, np.sqrt(rn2)
+def _descent_sweep(basis: np.ndarray, dims, partition):
+    """One :func:`_product_step` per group, in order, on a state of per-group
+    factors and the weight, for :func:`~upbkit.linalg._sweeps`: a start stays
+    live while the sweep changes its factors' bits and its weight is above
+    ``_CONVERGED_RN2``."""
+    def sweep(state):
+        old = state[:-1]
+        new = list(old)
+        for g in range(len(partition)):
+            new[g], weight = _product_step(new, g, basis, dims, partition)
+        return (*new, weight), _changed(new, old) & (weight > _CONVERGED_RN2)
+    return sweep
+
+
+def _product_descent(basis: np.ndarray, dims, partition, starts, sweeps: int) -> tuple[np.ndarray, ...]:
+    """Up to ``sweeps`` sweeps of :func:`_descent_sweep` from the per-group
+    ``starts`` (for the normalized ``partition``): the per-group factors and
+    the weight ``||B^dag v||^2``, one row per start."""
+    return _sweeps((*starts, np.full(len(starts[0]), np.inf)), sweeps, _descent_sweep(basis, dims, partition))
 
 
 def find_product_vectors(
@@ -333,26 +259,23 @@ def find_product_vectors(
     if partition is None:
         partition = finest_partition(len(dims))
     partition = normalize_partition(partition, len(dims))
-    gdims = _group_dims(dims, partition)
-    n_polar = sum(d - 1 for d in gdims)
-    n_starts = config.grid_resolution ** 2 * n_polar
-    rng = np.random.default_rng(config.seed)
-    starts = _start_params(rng, n_starts, gdims)
-
     if subspace.perp_basis.shape[1] == 0:
         raise ValueError("subspace is the full space; every product vector lies in it")
-    refined, resnorm = _refine(starts, _residual_fn(subspace, partition), config.max_iterations)
+    gdims = _group_dims(dims, partition)
+    n_starts = config.grid_resolution ** 2 * sum(d - 1 for d in gdims)
+    rng = np.random.default_rng(config.seed)
+    starts = [rng.standard_normal((n_starts, d)) + 1j * rng.standard_normal((n_starts, d)) for d in gdims]
+    starts = [z / np.linalg.norm(z, axis=1, keepdims=True) for z in starts]
+    *found, weight = _product_descent(subspace.perp_basis, dims, partition, starts, config.max_iterations)
+    resnorm = np.sqrt(weight)
     converged = resnorm <= config.residual_tol
-    if not converged.any():
-        return []
     order = np.argsort(resnorm[converged], kind="stable")
-    cand_params = refined[converged][order]
-    states = _states_from_params(cand_params, gdims)
+    candidates = [f[converged][order] for f in found]
     hits: list[ProductVectorHit] = []
-    for i in range(cand_params.shape[0]):
+    for i in range(len(order)):
         factors = []
-        for gi in range(len(gdims)):
-            f = states[gi][i].copy()
+        for c in candidates:
+            f = c[i].copy()
             idx = int(np.argmax(np.abs(f)))
             f = f * (np.conj(f[idx]) / abs(f[idx]))
             f = f / np.linalg.norm(f)

@@ -75,6 +75,7 @@ class TestExitCodes:
         assert main(["graphs", "--min-edges", "4"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
+        assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--partition", "0,1,2"]) == 3
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
@@ -198,9 +199,10 @@ class TestReproducibility:
             main(argv + ["--out", str(b)])
             assert a.read_bytes() == b.read_bytes()
 
-    def test_certify_bytes_do_not_depend_on_the_blas_thread_count(self):
-        argv = ["certify", "--source", SHIFTS_CLASS, "--target", THIRD_CLASS,
-                "--restarts", "12", "--budget", "600", "--seed", "9"]
+    @staticmethod
+    def _bytes_under_threads(argv) -> list[bytes]:
+        """Standard output of ``upbkit <argv>`` in fresh processes under 1
+        and 2 BLAS threads."""
         src = str(Path(upbkit.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
@@ -211,5 +213,17 @@ class TestReproducibility:
                 env=env, capture_output=True, timeout=300, check=True,
             )
             outputs.append(proc.stdout)
+        return outputs
+
+    def test_certify_bytes_do_not_depend_on_the_blas_thread_count(self):
+        outputs = self._bytes_under_threads(
+            ["certify", "--source", SHIFTS_CLASS, "--target", THIRD_CLASS,
+             "--restarts", "12", "--budget", "600", "--seed", "9"])
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
+
+    def test_search_pv_cut_bytes_do_not_depend_on_the_blas_thread_count(self):
+        outputs = self._bytes_under_threads(
+            ["search-pv", "--upb", "canonical:0.3,2.9,1.7", "--partition", "1|0,2", "--seed", "5"])
         assert outputs[0]
         assert outputs[0] == outputs[1]

@@ -30,13 +30,12 @@ from upbkit.filtering import (
     _interior_starts,
     _overlap_objective,
     _polar,
-    _qubit_step,
     _support_fidelity,
     _witness_step,
     _witness_value,
 )
 from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose, trace_distance
-from upbkit.product_search import SearchConfig, Subspace, find_product_vectors
+from upbkit.product_search import SearchConfig, Subspace, _descent_sweep, _product_step, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
 
 # regression constants recorded at first computation (deterministic seeds)
@@ -46,6 +45,7 @@ FIDELITY_REFERENCE = 0.9812328
 # smallest weight a product state puts on the (pi/3)^3 span
 PRODUCT_MINIMUM = 0.027555901447727
 
+FINEST = ((0,), (1,), (2,))
 FAST = GapSearchConfig(restarts=40, budget=2000, boundary_restarts=16, boundary_budget=1000, seed=11)
 
 
@@ -447,7 +447,9 @@ class TestWitnessDescent:
         for _ in range(3):
             for q in range(3):
                 fac = _witness_step(fac, q, source, target)
-                qubits = _qubit_step(qubits, q, target)
+                factors = list(np.swapaxes(qubits, 0, 1))
+                factors[q], _ = _product_step(factors, q, target.span_basis, (2, 2, 2), FINEST)
+                qubits = np.stack(factors, axis=1)
                 new, _ = _overlap_objective(fac, source, target)
                 new_weight = product_weight(qubits, target)
                 assert (new <= value + 1e-12).all()
@@ -505,7 +507,8 @@ class TestSweeps:
         pools = [
             ((fac,), budget // 48, _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target))),
             (_ascent_start(fac, source, target), budget // 48, lambda s: _ascent_sweep(s, source, target)),
-            ((qubits,), budget // 12, _fixed_point_sweep(lambda v, q: _qubit_step(v, q, target))),
+            ((*np.swapaxes(qubits, 0, 1), np.full(restarts, np.inf)), budget // 12,
+             _descent_sweep(target.span_basis, (2, 2, 2), FINEST)),
         ]
         for state, sweeps, sweep in pools:
             assert same_rows(_sweeps(state, sweeps, sweep), plain_sweeps(state, sweeps, sweep))

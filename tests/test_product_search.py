@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from upbkit import UPB, CanonicalAngles, ProductState, build_canonical, product_search, shifts
 from upbkit.graphs import enumerate_colorings, realize_coloring
+from upbkit.linalg import _sweeps
 from upbkit.product_search import (
     RankAmbiguityError,
     SearchConfig,
@@ -15,13 +16,11 @@ from upbkit.product_search import (
     residual,
 )
 from upbkit.product_search import (
+    _descent_sweep,
     _group_dims,
     _interleave,
-    _refine,
-    _residual_fn,
-    _rows_times,
-    _start_params,
-    _states_from_params,
+    _product_descent,
+    _product_step,
 )
 from upbkit.qutrit import bundled_upb
 
@@ -41,78 +40,45 @@ def random_subspace(rng, dims, k) -> Subspace:
     return Subspace(dims, q)
 
 
-def plain_refine(params, residual_fn, max_iterations):
-    """Damped Gauss-Newton over the whole batch until every start is done,
-    with no start leaving it: the reference for :func:`_refine`."""
-    h = 1e-7
-    n, p = params.shape
-    r = residual_fn(params)
-    rn2 = np.einsum("nr,nr->n", r, r)
-    lam = np.full(n, 1e-8)
-    eye = np.eye(p)
-    for _ in range(max_iterations):
-        active = rn2 > 1e-26
-        if not active.any():
-            break
-        jac = np.empty((n, r.shape[1], p))
-        for k in range(p):
-            shifted = params.copy()
-            shifted[:, k] += h
-            jac[:, :, k] = (residual_fn(shifted) - r) / h
-        jtj = np.einsum("nrp,nrq->npq", jac, jac)
-        jtr = np.einsum("nrp,nr->np", jac, r)
-        w = np.linalg.eigvalsh(jtj)
-        cond = w[:, -1] / np.clip(w[:, 0], 1e-300, None)
-        ill = (cond > 1e8) | (w[:, 0] <= 0)
-        lhs = jtj + (lam[:, None, None] + 1e-9) * eye
-        step_gn = -np.linalg.solve(lhs, jtr[:, :, None])[:, :, 0]
-        step_gn = np.where(active[:, None], step_gn, 0.0)
-        trial_gn = params + step_gn
-        r_gn = residual_fn(trial_gn)
-        rn2_gn = np.einsum("nr,nr->n", r_gn, r_gn)
-        jg = np.einsum("nrp,np->nr", jac, jtr)
-        denom = np.clip(np.einsum("nr,nr->n", jg, jg), 1e-300, None)
-        alpha = np.einsum("np,np->n", jtr, jtr) / denom
-        step_gd = -alpha[:, None] * jtr
-        step_gd = np.where((active & ill)[:, None], step_gd, 0.0)
-        trial_gd = params + step_gd
-        r_gd = residual_fn(trial_gd)
-        rn2_gd = np.einsum("nr,nr->n", r_gd, r_gd)
-        take_gd = ill & (rn2_gd < rn2_gn)
-        trial = np.where(take_gd[:, None], trial_gd, trial_gn)
-        r_trial = np.where(take_gd[:, None], r_gd, r_gn)
-        rn2_trial = np.where(take_gd, rn2_gd, rn2_gn)
-        better = (rn2_trial < rn2) & active
-        params = np.where(better[:, None], trial, params)
-        r = np.where(better[:, None], r_trial, r)
-        rn2 = np.where(better, rn2_trial, rn2)
-        lam = np.clip(np.where(better, lam * 0.3, lam * 10.0), 1e-12, 1e9)
-    return params, np.sqrt(rn2)
+def plain_descent(basis, dims, partition, starts, sweeps):
+    """Sweeps of the exact product step over the whole batch, no start
+    retired: the reference for :func:`_product_descent`.  A start is done once
+    a sweep leaves its factors bitwise unchanged or its weight at most 1e-26,
+    and keeps that sweep's row from then on."""
+    factors = list(starts)
+    weight = np.full(len(factors[0]), np.inf)
+    done = np.zeros(len(weight), dtype=bool)
+    for _ in range(sweeps):
+        new = list(factors)
+        for g in range(len(partition)):
+            new[g], new_weight = _product_step(new, g, basis, dims, partition)
+        same = np.array([all(a[i].tobytes() == b[i].tobytes() for a, b in zip(new, factors))
+                         for i in range(len(weight))])
+        factors = [np.where(done[:, None], a, b) for a, b in zip(factors, new)]
+        weight = np.where(done, weight, new_weight)
+        done |= same | (new_weight <= 1e-26)
+    return (*factors, weight)
 
 
 def same_bits(a: tuple, b: tuple) -> bool:
     return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def recording(residual_fn, sizes: list):
-    """``residual_fn`` that appends the batch size of every call to ``sizes``."""
-    def run(params):
-        sizes.append(len(params))
-        return residual_fn(params)
+def recording(sweep, sizes: list):
+    """``sweep`` that appends the number of live starts of every call to ``sizes``."""
+    def run(state):
+        sizes.append(len(state[0]))
+        return sweep(state)
     return run
-
-
-def iteration_sizes(sizes: list, partition, dims=(2, 2, 2)) -> list:
-    """Live starts per Gauss-Newton iteration, from the batch sizes of all
-    residual calls: one call at the start, then per iteration one per
-    parameter (the Jacobian) and two trial steps."""
-    calls = 2 * sum(d - 1 for d in _group_dims(dims, partition)) + 2
-    assert (len(sizes) - 1) % calls == 0
-    return sizes[1::calls]
 
 
 def random_vector(rng, d):
     return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+def random_starts(rng, n, gdims) -> list:
+    """``n`` random unit vectors per group."""
+    return [v / np.linalg.norm(v, axis=1, keepdims=True) for v in (random_vector(rng, (n, d)) for d in gdims)]
 
 
 def product_subspace(rng, dims, partition, n_products, n_random) -> Subspace:
@@ -212,85 +178,99 @@ class TestFindProductVectors:
         with pytest.raises(ValueError):
             find_product_vectors(sub, [(0,), (1,)])
 
+    @pytest.mark.parametrize("angles, cut", [
+        # near angle 0, and the three cuts of a corner triple near pi
+        ((0.011216122791543099, 0.17226426314641657, 0.13037093544558162), [(0,), (1, 2)]),
+        ((0.0025901115366864977, 0.18178528686075837, 2.4797231213987847), [(1,), (0, 2)]),
+        ((0.061258591080970565, 2.8664764071248348, 3.0905401772040566), [(1,), (0, 2)]),
+        ((3.106002591379464, 3.025985331813, 3.10245551912218), [(2,), (0, 1)]),
+    ])
+    def test_cuts_near_the_box_boundary_give_every_member(self, angles, cut):
+        u = build_canonical(CanonicalAngles(*angles))
+        hits = find_product_vectors(span_subspace(u), cut)
+        assert len(hits) == 4
+        for h in hits:
+            assert any(h.matches(m.factors, 1e-8) for m in u.members)
+
 
 class TestRefine:
-    """The retiring Gauss-Newton loop against the plain one."""
+    """Refining the search starts: the exact product-state descent, with
+    starts retired through the sweep driver, against the plain sweep loop."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         case=st.integers(0, len(PARTITIONS)),
         n_products=st.integers(0, 4),
         n_random=st.integers(1, 3),
-        iterations=st.integers(1, 60),
+        n_starts=st.integers(1, 48),
+        sweeps=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_retiring_starts_matches_the_plain_loop(self, case, n_products, n_random, iterations, seed):
+    def test_retiring_starts_matches_the_plain_loop(self, case, n_products, n_random, n_starts, sweeps, seed):
         rng = np.random.default_rng(seed)
         if case == len(PARTITIONS):
             dims, partition = (3, 3), ((0,), (1,))
         else:
             dims, partition = (2, 2, 2), PARTITIONS[case]
         sub = product_subspace(rng, dims, partition, n_products, n_random)
-        starts = _start_params(rng, 48, _group_dims(dims, partition))
-        fn = _residual_fn(sub, partition)
-        assert same_bits(_refine(starts, fn, iterations), plain_refine(starts, fn, iterations))
+        starts = random_starts(rng, n_starts, _group_dims(dims, partition))
+        basis = sub.perp_basis
+        assert same_bits(_product_descent(basis, dims, partition, starts, sweeps),
+                         plain_descent(basis, dims, partition, starts, sweeps))
 
     def test_qutrit_span(self):
         sub = Subspace((3, 3), bundled_upb("tiles").span_basis)
         partition = ((0,), (1,))
-        starts = _start_params(np.random.default_rng(35), 64, (3, 3))
-        fn = _residual_fn(sub, partition)
-        params, resnorm = _refine(starts, fn, 40)
-        assert (resnorm <= 1e-9).any()
-        assert same_bits((params, resnorm), plain_refine(starts, fn, 40))
+        starts = random_starts(np.random.default_rng(35), 64, (3, 3))
+        out = _product_descent(sub.perp_basis, (3, 3), partition, starts, 40)
+        assert (out[-1] <= 1e-18).any()
+        assert same_bits(out, plain_descent(sub.perp_basis, (3, 3), partition, starts, 40))
+
+    def _on_a_product_vector(self, rng, dims, partition, n_starts):
+        """Random starts whose first lies on a product vector of a random
+        subspace, and that subspace."""
+        starts = random_starts(rng, n_starts, _group_dims(dims, partition))
+        product = _interleave(dims, partition, [s[:1] for s in starts])[0]
+        cols = [product] + [random_vector(rng, int(np.prod(dims))) for _ in range(3)]
+        return starts, Subspace.orthonormalized(dims, np.column_stack(cols))
 
     def test_batch_retires_down_to_a_single_start(self):
-        u = build_canonical(CanonicalAngles(1, 2, 0.5))
-        sub = span_subspace(u)
-        partition = PARTITIONS[0]
-        starts = _start_params(np.random.default_rng(SearchConfig().seed), 768, (2, 2, 2))
-        fn = _residual_fn(sub, partition)
-        sizes = []
-        out = _refine(starts, recording(fn, sizes), 60)
-        assert iteration_sizes(sizes, partition)[-1] == 1
-        assert same_bits(out, plain_refine(starts, fn, 60))
-
-    def test_start_on_a_member_comes_back_unchanged(self):
+        # six starts on the subspace's one product vector retire after a
+        # sweep, and one random start runs on alone
         rng = np.random.default_rng(36)
-        partition = PARTITIONS[1]
-        gdims = _group_dims((2, 2, 2), partition)
-        starts = _start_params(rng, 16, gdims)
-        on = starts[:1]
-        product = _interleave((2, 2, 2), partition, _states_from_params(on, gdims))[0]
-        sub = Subspace.orthonormalized((2, 2, 2), np.column_stack([product] + [random_vector(rng, 8) for _ in range(3)]))
-        fn = _residual_fn(sub, partition)
-        r = fn(starts)
-        rn2 = np.einsum("nr,nr->n", r, r)
-        assert rn2[0] <= 1e-26
-        params, resnorm = _refine(starts, fn, 60)
-        assert params[0].tobytes() == on[0].tobytes()
-        assert resnorm[0] == np.sqrt(rn2[0])
-        assert same_bits((params, resnorm), plain_refine(starts, fn, 60))
+        partition = PARTITIONS[0]
+        starts, sub = self._on_a_product_vector(rng, (2, 2, 2), partition, 2)
+        phases = np.exp(2j * np.pi * rng.uniform(size=(6, 1)))
+        starts = [np.concatenate([s[:1] * phases, s[1:]]) for s in starts]
+        sizes = []
+        sweep = recording(_descent_sweep(sub.perp_basis, (2, 2, 2), partition), sizes)
+        state = (*starts, np.full(7, np.inf))
+        out = _sweeps(state, 30, sweep)
+        assert sizes[:2] == [7, 1] and len(sizes) > 2
+        assert same_bits(out, plain_descent(sub.perp_basis, (2, 2, 2), partition, starts, 30))
 
-    def test_one_row_product_matches_its_batch_row(self):
+    def test_start_on_a_product_vector_retires_after_one_sweep(self):
         rng = np.random.default_rng(37)
-        for d, k in ((8, 4), (9, 4), (9, 5), (8, 7)):
-            v = random_vector(rng, (6, d))
-            m = random_vector(rng, (d, k))
-            full = _rows_times(v, m)
-            for i in range(len(v)):
-                assert _rows_times(v[i:i + 1], m).tobytes() == full[i:i + 1].tobytes()
+        for dims, partition in [((2, 2, 2), p) for p in PARTITIONS] + [((3, 3), ((0,), (1,)))]:
+            starts, sub = self._on_a_product_vector(rng, dims, partition, 16)
+            sizes = []
+            sweep = recording(_descent_sweep(sub.perp_basis, dims, partition), sizes)
+            out = _sweeps((*starts, np.full(16, np.inf)), 60, sweep)
+            assert sizes[:2] == [16, 15]
+            assert out[-1][0] <= 1e-26
+            for f, s in zip(out, starts):
+                assert abs(abs(np.vdot(f[0], s[0])) - 1) <= 1e-12
 
     def test_converged_starts_stop_evaluating(self, monkeypatch):
-        # at most a quarter of the 60 x 1024 rows the plain loop evaluates
-        # per Jacobian column on the cut 0|1,2 of a canonical UPB
+        # at most four sweeps per start on each partition criterion 3 audits
         sizes = []
-        monkeypatch.setattr(product_search, "_residual_fn", lambda s, p: recording(_residual_fn(s, p), sizes))
+        monkeypatch.setattr(product_search, "_descent_sweep", lambda *a: recording(_descent_sweep(*a), sizes))
         u = build_canonical(CanonicalAngles(1, 2, 0.5))
-        partition = PARTITIONS[1]
-        assert len(find_product_vectors(span_subspace(u), partition)) == 4
-        assert sizes[0] == 1024
-        assert sum(iteration_sizes(sizes, partition)) <= 60 * 1024 // 4
+        for partition in PARTITIONS:
+            sizes.clear()
+            assert len(find_product_vectors(span_subspace(u), partition)) == 4
+            assert sizes[0] == 16 ** 2 * sum(d - 1 for d in _group_dims((2, 2, 2), partition))
+            assert sum(sizes) <= 4 * sizes[0]
 
 
 class TestIsExtendible:
@@ -372,6 +352,8 @@ class TestConfigAndTypes:
             normalize_partition([(0,), (1,)], 3)
         with pytest.raises(ValueError):
             normalize_partition([(0,), (0, 1)], 2)
+        with pytest.raises(ValueError):
+            normalize_partition([(0, 1, 2)], 3)
 
     def test_subspace_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
 from upbkit import validate
+from upbkit.cli import main
 from upbkit.linalg import PartitionCut, partial_transpose
 from upbkit.product_search import residual, Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
@@ -12,6 +17,14 @@ from upbkit.upb import state_of
 # the symmetric direction (2|0> - |1> + 2|2>)^(x2) / 9 for tiles
 TILES_EXTRA = np.array([2.0, -1.0, 2.0]) / 3.0
 PYRAMID_EXTRA = np.array([1.0, 0.0, 0.0])
+
+
+def cli_report(argv):
+    """Exit code and parsed JSON report of ``upbkit <argv>``."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +56,6 @@ class TestLoading:
             bundled_upb("nonexistent")
 
     def test_load_from_json_string(self, tiles):
-        import json
-
         back = upb_from_document(json.loads(json.dumps(upb_to_document(tiles))))
         assert back.n == 5
 
@@ -76,6 +87,13 @@ class TestExtraProductVectors:
             sub = Subspace(u.dims, u.span_basis)
             hits = find_product_vectors(sub, [(0,), (1,)], QUTRIT_SEARCH)
             assert len(hits) == 6
+
+    def test_pyramid_at_a_seed_where_a_search_missed_a_member(self):
+        # the CLI run ``qutrit-extras --upb pyramid --seed 574233326``
+        code, out = cli_report(["qutrit-extras", "--upb", "pyramid", "--seed", "574233326"])
+        assert code == 0
+        assert out["result"]["total_product_vectors"] == 6
+        assert out["result"]["n_extras"] == 1
 
     def test_wrong_party_count_rejected(self, shifts_class_upb):
         with pytest.raises(ValueError):
