@@ -66,6 +66,14 @@ def load_upb_spec(spec: str):
         raise UsageError(f"{spec!r} is not a UPB document: {exc}") from exc
 
 
+def _three_qubit_upb(spec: str):
+    """The four-member three-qubit UPB at ``spec``, the kind canonical angles label."""
+    upb = load_upb_spec(spec)
+    if upb.dims != (2, 2, 2) or upb.n != 4:
+        raise UsageError(f"{spec!r} is not a four-member three-qubit UPB")
+    return upb
+
+
 def _parse_partition(text: str | None, n_parties: int):
     if text is None:
         return None
@@ -203,8 +211,7 @@ def _run_state(args):
 
 
 def _run_equiv(args):
-    a = load_upb_spec(args.a)
-    b = load_upb_spec(args.b)
+    a, b = _three_qubit_upb(args.a), _three_qubit_upb(args.b)
     canon_a, canon_b = canonicalize(a), canonicalize(b)
     witness = match_canonical(a, b, canon_a, canon_b)
     doc = {
@@ -262,8 +269,7 @@ def _run_search_pv(args):
 
 
 def _run_certify(args):
-    source = load_upb_spec(args.source)
-    target = load_upb_spec(args.target)
+    source, target = _three_qubit_upb(args.source), _three_qubit_upb(args.target)
     try:
         config = GapSearchConfig(
             restarts=args.restarts, budget=args.budget, seed=args.seed, slack=args.slack
@@ -276,6 +282,8 @@ def _run_certify(args):
 
 def _run_qutrit_extras(args):
     upb = load_upb_spec(args.upb)
+    if len(upb.dims) != 2:
+        raise UsageError(f"{args.upb!r} is not a two-party UPB")
     config = _search_config(args, qutrit.QUTRIT_SEARCH)
     all_hits, extras = qutrit.extra_product_vectors(upb, config)
     doc = {
@@ -338,6 +346,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        print("numerical error: out of memory; lower the search budget", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -13,16 +13,15 @@ the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form from the
 polar factor of ``T^dag X C``.  A restart runs up to ``budget // 48`` sweeps
 of three steps.  The witness infimum may lie on the orbit boundary, whose
 limit states are mixtures of product states; there it is the least weight a
-product state puts on the target's span, reached by up to
-``boundary_budget // 12`` sweeps of the product-vector search's exact
-descent (:func:`upbkit.product_search._product_descent`).  One driver,
-:func:`upbkit.linalg._sweeps`, runs all three pools and drops a restart
-from the batch once it is done, with the same results as sweeping every
-restart to the cap.  A witness or product-state restart is done when a
-sweep leaves it bitwise unchanged.  The fidelity ascent extrapolates each
-sweep along its own direction, keeps the extrapolated point only if it is
-no worse, and a restart is done when a sweep gains at most ``_STALL_GAIN``
-(:func:`_ascent_sweep`).  Multistart certifies no global optimum: the
+product state puts on the target's span, reached from ``BOUNDARY_STARTS``
+states by up to ``BOUNDARY_BUDGET // 12`` sweeps of the product-vector
+search's exact descent (:func:`upbkit.product_search._product_descent`).
+One driver, :func:`upbkit.linalg._sweeps`, runs all three pools and drops a
+restart from the batch once it is done: a witness or product-state restart
+when a sweep leaves it bitwise unchanged, a fidelity restart when a sweep
+gains at most ``_STALL_GAIN``.  The fidelity ascent extrapolates each sweep
+along its own direction and keeps the extrapolated point only if it is no
+worse (:func:`_ascent_sweep`).  Multistart certifies no global optimum: the
 results are empirical estimates.
 """
 
@@ -35,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DensityMatrix, _changed, _sandwich_spectrum, _sweeps, kron_all
-from .product_search import DEFAULT_SEED, _product_descent, finest_partition
+from .product_search import DEFAULT_SEED, _product_descent, _unit_starts, finest_partition
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
 PROBABILITY_FLOOR = 1e-14
@@ -49,6 +48,8 @@ _FREEZE_PROBABILITY = 1e-6
 _STALL_GAIN = 1e-14
 # the extrapolation factor of the fidelity ascent grows by this on success
 _BETA_GROWTH = 3.0
+BOUNDARY_STARTS = 64  # product-state starts of the boundary probe
+BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
 
 
 class EquivalentPairError(ValueError):
@@ -274,29 +275,25 @@ def boundary_limit(
 
 @dataclass(frozen=True)
 class GapSearchConfig:
-    """Multistart budget for the gap optimizers: ``restarts`` restarts of
-    up to ``budget // 48`` sweeps of three exact block steps in both interior
-    pools (the compass search's sweep count at 24 parameters, which the
-    budgets were set for), and ``boundary_restarts`` product states of up to
-    ``boundary_budget // 12`` sweeps of qubit steps in the boundary probe.
-    The sweep counts are per-restart upper bounds: a witness or product-state
-    restart that a sweep leaves bitwise unchanged stops there, and a fidelity
-    restart stops once a sweep gains at most 1e-14 in fidelity."""
+    """Multistart budget of the interior gap optimizers, and the ``slack`` of
+    the consistency flag: ``restarts`` restarts from ``seed`` of up to
+    ``budget // 48`` sweeps of three exact block steps in both pools (the
+    compass search's sweep count at 24 parameters, which the budgets were set
+    for).  A restart stops earlier once it converges (see the module
+    docstring).  The boundary probe's starts and budget are module constants."""
 
     restarts: int = 200
     budget: int = 5000
     seed: int = DEFAULT_SEED
     slack: float = 1e-9
-    boundary_restarts: int = 64
-    boundary_budget: int = 3000
 
     def __post_init__(self):
-        if self.restarts < 1 or self.boundary_restarts < 1:
-            raise ValueError("restart counts must be positive")
-        if self.budget < 100 or self.boundary_budget < 100:
-            raise ValueError("budgets must allow at least a few sweeps")
-        if self.slack < 0:
-            raise ValueError("slack must be non-negative")
+        if self.restarts < 1 or self.budget < 100:
+            raise ValueError("need a positive restart count and a budget of at least 100")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 0 <= self.slack < np.inf:
+            raise ValueError("slack must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -305,32 +302,34 @@ class GapCertificate:
 
     Multistart gives no certified global optimum: ``delta_min`` is an upper
     estimate of the true orbit-wide witness minimum and ``fidelity_max`` a
-    lower estimate of the true fidelity supremum, recorded with full
-    optimizer provenance so runs are reproducible.  ``epsilon = delta_min/2``
-    via the square-root chain, and the consistency flag asserts
-    ``fidelity_max <= 1 - epsilon + slack``.
+    lower estimate of the true fidelity supremum, recorded with the
+    optimizer's ``config`` so runs are reproducible.  ``epsilon =
+    delta_min/2`` via the square-root chain, and the consistency flag asserts
+    ``fidelity_max <= 1 - epsilon + config.slack``.
     """
+
+    status = "empirical"
 
     source_angles: tuple[float, float, float]
     target_angles: tuple[float, float, float]
     delta_min: float
     fidelity_max: float
-    epsilon: float
-    slack: float
-    consistent: bool
     argmin_kind: str
     span_overlap_at_argmax: float
     perp_weight_at_argmax: float
     perp_root_trace_at_argmax: float
-    restarts: int
-    budget: int
-    boundary_restarts: int
-    boundary_budget: int
-    seed: int
     interior_optima: tuple[float, ...]
     boundary_optima: tuple[float, ...]
     fidelity_optima: tuple[float, ...]
-    status: str = "empirical"
+    config: GapSearchConfig
+
+    @property
+    def epsilon(self) -> float:
+        return self.delta_min / 2.0
+
+    @property
+    def consistent(self) -> bool:
+        return self.fidelity_max <= 1.0 - self.epsilon + self.config.slack
 
     @property
     def perp_weight_bound(self) -> float:
@@ -352,7 +351,7 @@ class GapCertificate:
             "delta_min": self.delta_min,
             "fidelity_max": self.fidelity_max,
             "epsilon": self.epsilon,
-            "slack": self.slack,
+            "slack": self.config.slack,
             "consistent": self.consistent,
             "argmin_kind": self.argmin_kind,
             "chain": {
@@ -364,11 +363,11 @@ class GapCertificate:
                 "fidelity_bound": self.fidelity_bound,
             },
             "optimizer": {
-                "seed": self.seed,
-                "restarts": self.restarts,
-                "budget": self.budget,
-                "boundary_restarts": self.boundary_restarts,
-                "boundary_budget": self.boundary_budget,
+                "seed": self.config.seed,
+                "restarts": self.config.restarts,
+                "budget": self.config.budget,
+                "boundary_restarts": BOUNDARY_STARTS,
+                "boundary_budget": BOUNDARY_BUDGET,
                 "interior_optima": list(self.interior_optima),
                 "boundary_optima": list(self.boundary_optima),
                 "fidelity_optima": list(self.fidelity_optima),
@@ -440,7 +439,7 @@ def _support_weight(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _witness_value(y: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``||S^dag Y||_F^2 / ||Y||_F^2`` and ``||Y||_F^2 / k`` for each (8, k)
-    image ``Y`` (``X C``, or a product state), rows ordered as ``S``'s."""
+    image ``Y = X C``, rows ordered as ``S``'s."""
     norm2, valid = _support_weight(y)
     inside = span.conj().T @ y
     value = (inside.real ** 2 + inside.imag ** 2).sum(axis=(1, 2)) / np.where(valid, norm2, 1.0)
@@ -614,9 +613,9 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     boundary limit's witness value is a weighted mean of the weights its
     three product states put on the target's span, and a limit with all
     weight on one party is a single product state, so the boundary pool
-    minimizes the product weight by the exact descent of the product-vector
-    search (:func:`~upbkit.product_search._product_descent`).  Returns
-    ``(delta, point, interior_optima, boundary_optima)``.
+    minimizes ``||S^dag v||^2`` by the product-vector search's exact descent
+    (:func:`~upbkit.product_search._product_descent`), whose own weights are
+    the boundary optima.  Returns ``(delta, point, interior_optima, boundary_optima)``.
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
@@ -624,13 +623,8 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
                      _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target)))
     fi, _ = _overlap_objective(fac, source, target)
     point = _interior_point(source, fac[int(np.argmin(fi))])
-    theta = rng.uniform(0.0, math.pi, (config.boundary_restarts, 3))
-    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, (config.boundary_restarts, 3)))
-    qubits = np.stack([np.cos(theta), np.sin(theta) * phase], axis=-1)
-    *qubits, _ = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
-                                  [qubits[:, p] for p in range(3)], max(1, config.boundary_budget // 12))
-    products = np.einsum("ni,nj,nk->nijk", *qubits).reshape(-1, 8, 1)
-    fb, _ = _witness_value(products, target.span_basis)
+    *qubits, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
+                                   _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
     best = min(fi.min(), fb.min())
     if fb.min() < fi.min():
         psi = [q[int(np.argmin(fb))] for q in qubits]
@@ -681,25 +675,17 @@ def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None)
     delta = min(delta, overlap_at_argmax)
     perp = np.eye(target.total_dim, dtype=complex) - target.span_projector
     w = _sandwich_spectrum(perp, argmax_point.state.matrix)
-    epsilon = delta / 2.0
     return GapCertificate(
         source_angles=canon_s[0].as_tuple(),
         target_angles=canon_t[0].as_tuple(),
         delta_min=delta,
         fidelity_max=fmax,
-        epsilon=epsilon,
-        slack=config.slack,
-        consistent=fmax <= 1.0 - epsilon + config.slack,
         argmin_kind=argmin_point.kind,
         span_overlap_at_argmax=overlap_at_argmax,
         perp_weight_at_argmax=float(w.sum()),
         perp_root_trace_at_argmax=float(np.sqrt(w).sum()),
-        restarts=config.restarts,
-        budget=config.budget,
-        boundary_restarts=config.boundary_restarts,
-        boundary_budget=config.boundary_budget,
-        seed=config.seed,
         interior_optima=tuple(interior_optima),
         boundary_optima=tuple(boundary_optima),
         fidelity_optima=tuple(fidelity_optima),
+        config=config,
     )

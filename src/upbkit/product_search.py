@@ -55,10 +55,12 @@ class SearchConfig:
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise ValueError("grid_resolution must be at least 8")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+        if not 0 < self.residual_tol < np.inf:
+            raise ValueError("residual_tol must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 class Subspace:
@@ -236,6 +238,12 @@ def _descent_sweep(basis: np.ndarray, dims, partition):
     return sweep
 
 
+def _unit_starts(rng: np.random.Generator, n: int, gdims) -> list[np.ndarray]:
+    """``n`` complex-Gaussian unit vectors per group dimension in ``gdims``."""
+    starts = [rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)) for d in gdims]
+    return [z / np.linalg.norm(z, axis=1, keepdims=True) for z in starts]
+
+
 def _product_descent(basis: np.ndarray, dims, partition, starts, sweeps: int) -> tuple[np.ndarray, ...]:
     """Up to ``sweeps`` sweeps of :func:`_descent_sweep` from the per-group
     ``starts`` (for the normalized ``partition``): the per-group factors and
@@ -263,9 +271,7 @@ def find_product_vectors(
         raise ValueError("subspace is the full space; every product vector lies in it")
     gdims = _group_dims(dims, partition)
     n_starts = config.grid_resolution ** 2 * sum(d - 1 for d in gdims)
-    rng = np.random.default_rng(config.seed)
-    starts = [rng.standard_normal((n_starts, d)) + 1j * rng.standard_normal((n_starts, d)) for d in gdims]
-    starts = [z / np.linalg.norm(z, axis=1, keepdims=True) for z in starts]
+    starts = _unit_starts(np.random.default_rng(config.seed), n_starts, gdims)
     *found, weight = _product_descent(subspace.perp_basis, dims, partition, starts, config.max_iterations)
     resnorm = np.sqrt(weight)
     converged = resnorm <= config.residual_tol

@@ -44,7 +44,7 @@ class ProductState:
 
     __slots__ = ("factors", "tensor")
 
-    def __init__(self, factors: Sequence[np.ndarray], tensor: np.ndarray | None = None):
+    def __init__(self, factors: Sequence[np.ndarray]):
         fs = []
         for f in factors:
             f = np.asarray(f, dtype=complex).reshape(-1)
@@ -52,30 +52,13 @@ class ProductState:
                 raise ValueError(f"factor norm {np.linalg.norm(f)} not 1 within 1e-12")
             f.setflags(write=False)
             fs.append(f)
-        expanded = kron_all(fs)
-        if tensor is not None:
-            tensor = np.asarray(tensor, dtype=complex).reshape(-1)
-            if np.abs(tensor - expanded).max() > FACTOR_NORM_TOL:
-                raise ValueError("tensor does not match the product of factors within 1e-12")
-        else:
-            tensor = expanded
+        tensor = kron_all(fs)
         tensor.setflags(write=False)
         object.__setattr__(self, "factors", tuple(fs))
         object.__setattr__(self, "tensor", tensor)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProductState is immutable")
-
-    @classmethod
-    def normalized(cls, factors: Sequence[np.ndarray]) -> "ProductState":
-        out = []
-        for f in factors:
-            f = np.asarray(f, dtype=complex).reshape(-1)
-            n = np.linalg.norm(f)
-            if n == 0:
-                raise ValueError("cannot normalize a zero factor")
-            out.append(f / n)
-        return cls(out)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -153,14 +136,14 @@ class CanonicalAngles:
         return (self.theta_a, self.theta_b, self.theta_c)
 
 
-def fold_angle(theta: float, tol: float = BOUNDARY_TOL) -> float:
+def fold_angle(theta: float) -> float:
     """Fold an angle into (0, pi) using the theta ~ -theta identification."""
     t = math.fmod(theta, 2 * math.pi)
     if t < 0:
         t += 2 * math.pi
     if t > math.pi:
         t = 2 * math.pi - t
-    if t < tol or t > math.pi - tol:
+    if t < BOUNDARY_TOL or t > math.pi - BOUNDARY_TOL:
         raise ValueError(f"angle {theta} folds to the boundary of (0, pi)")
     return t
 
@@ -232,7 +215,7 @@ def state_of(upb: UPB) -> DensityMatrix:
     return DensityMatrix(upb.dims, rho)
 
 
-def orthogonality_graphs(family, tol: float = 1e-10) -> tuple["graphs_mod.PartyGraph", ...]:
+def orthogonality_graphs(family) -> tuple["graphs_mod.PartyGraph", ...]:
     """Per-party orthogonality graphs: edge (i, j) iff the local factors are
     orthogonal.  Accepts a UPB or any sequence of product states."""
     members = family.members if isinstance(family, UPB) else tuple(family)
@@ -243,7 +226,7 @@ def orthogonality_graphs(family, tol: float = 1e-10) -> tuple["graphs_mod.PartyG
         for i in range(n):
             for j in range(i + 1, n):
                 ov = np.vdot(members[i].factors[p], members[j].factors[p])
-                if abs(ov) <= tol:
+                if abs(ov) <= ORTHONORMALITY_TOL:
                     edges.add((i, j))
         out.append(graphs_mod.PartyGraph(n, frozenset(edges)))
     return tuple(out)
@@ -271,7 +254,6 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
         raise ValueError("canonicalize requires a four-member three-qubit UPB")
     import itertools
 
-    tol = BOUNDARY_TOL
     boundary_hit = False
     for order in itertools.permutations(range(4)):
         anchor = upb.members[order[0]]
@@ -284,7 +266,7 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
             for k in range(4)
         ]
         # slot k (k=1,2,3) must carry its |1> factor on party k-1
-        if any(abs(rotated[k][k - 1][0]) > tol for k in (1, 2, 3)):
+        if any(abs(rotated[k][k - 1][0]) > BOUNDARY_TOL for k in (1, 2, 3)):
             continue
         seeds = (rotated[2][0], rotated[1][1], rotated[1][2])  # |A>, |B>, |C>
         if any(abs(s[0]) < BOUNDARY_TOL or abs(s[1]) < BOUNDARY_TOL for s in seeds):
@@ -308,22 +290,22 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     raise ValueError("no member ordering matches the canonical structure; not a valid UPB")
 
 
-def equivalent(s: UPB, t: UPB, tol: float = ANGLE_MATCH_TOL) -> EquivalenceWitness | None:
+def equivalent(s: UPB, t: UPB) -> EquivalenceWitness | None:
     """Witness that ``s`` and ``t`` are the same class, or None.
 
     Decided by comparing canonical angles (a complete invariant); the witness
     composes the two canonicalization witnesses.
     """
-    return match_canonical(s, t, canonicalize(s), canonicalize(t), tol)
+    return match_canonical(s, t, canonicalize(s), canonicalize(t))
 
 
-def match_canonical(s: UPB, t: UPB, canon_s, canon_t, tol: float = ANGLE_MATCH_TOL) -> EquivalenceWitness | None:
+def match_canonical(s: UPB, t: UPB, canon_s, canon_t) -> EquivalenceWitness | None:
     """:func:`equivalent` from the :func:`canonicalize` results of ``s`` and
     ``t``, for callers that also need the angles."""
     angles_s, w_s = canon_s
     angles_t, w_t = canon_t
     diff = max(abs(x - y) for x, y in zip(angles_s.as_tuple(), angles_t.as_tuple()))
-    if diff > tol:
+    if diff > ANGLE_MATCH_TOL:
         return None
     inv_t = [0] * 4
     for j, slot in enumerate(w_t.permutation):

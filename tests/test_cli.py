@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import upbkit
+from upbkit import cli
 from upbkit.cli import main
 from upbkit.serialize import dumps_report, upb_to_document
 from upbkit.upb import shifts
@@ -76,6 +77,16 @@ class TestExitCodes:
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
         assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--partition", "0,1,2"]) == 3
+        assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--seed", "-1"]) == 3
+        assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--tol", "nan"]) == 3
+        assert main(["qutrit-extras", "--upb", "tiles", "--seed", "-1"]) == 3
+        assert main(["qutrit-extras", "--upb", "canonical:1,1,1"]) == 3
+        assert main(["equiv", "--a", "tiles", "--b", "pyramid"]) == 3
+        certify = ["certify", "--source", SHIFTS_CLASS, "--target", THIRD_CLASS]
+        assert main(certify + ["--seed", "-1"]) == 3
+        assert main(certify + ["--slack", "nan"]) == 3
+        assert main(certify + ["--slack", "inf"]) == 3
+        assert main(["certify", "--source", "tiles", "--target", THIRD_CLASS]) == 3
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
@@ -87,6 +98,14 @@ class TestExitCodes:
             path = tmp_path / f"not_a_upb{i}.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--upb", str(path)]) == 3
+
+    def test_out_of_memory_is_a_numerical_error(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "find_product_vectors", exhausted)
+        assert main(["search-pv", "--upb", "canonical:1,2,0.5"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_numerical_error_exit(self, tmp_path):
         doc = {"dims": [2, 2, 2], "members": [[[[1.0, 0.0], [0.0, 0.0]]] * 3] * 2}
@@ -176,6 +195,9 @@ class TestReports:
             "seed", "restarts", "budget", "boundary_restarts", "boundary_budget",
             "interior_optima", "boundary_optima", "fidelity_optima",
         }
+        assert result["optimizer"]["boundary_restarts"] == 64
+        assert result["optimizer"]["boundary_budget"] == 3000
+        assert len(result["optimizer"]["boundary_optima"]) == 64
 
     def test_text_format(self, tmp_path, capsys):
         code = main(["equiv", "--a", SHIFTS_CLASS, "--b", SHIFTS_CLASS, "--format", "text"])

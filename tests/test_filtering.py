@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_local_filter, random_separable, random_state
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
+    BOUNDARY_STARTS,
     EquivalentPairError,
     GapSearchConfig,
     LocalFilter,
@@ -46,7 +47,7 @@ FIDELITY_REFERENCE = 0.9812328
 PRODUCT_MINIMUM = 0.027555901447727
 
 FINEST = ((0,), (1,), (2,))
-FAST = GapSearchConfig(restarts=40, budget=2000, boundary_restarts=16, boundary_budget=1000, seed=11)
+FAST = GapSearchConfig(restarts=40, budget=2000, seed=11)
 
 
 def product_weight(qubits: np.ndarray, target) -> np.ndarray:
@@ -621,15 +622,23 @@ class TestCertify:
         assert cert.delta_min > 1e-3
         assert cert.epsilon == cert.delta_min / 2
         assert cert.consistent
-        assert cert.fidelity_max <= 1 - cert.epsilon + cert.slack
+        assert cert.fidelity_max <= 1 - cert.epsilon + cert.config.slack
         assert cert.span_overlap_at_argmax >= cert.delta_min
         assert cert.perp_weight_at_argmax <= cert.perp_weight_bound + 1e-12
         assert cert.perp_root_trace_at_argmax <= cert.perp_root_trace_bound + 1e-9
         assert abs(cert.perp_root_trace_at_argmax / 2 - cert.fidelity_max) < 1e-9
         assert len(cert.interior_optima) == FAST.restarts
         assert len(cert.fidelity_optima) == FAST.restarts
-        assert len(cert.boundary_optima) == FAST.boundary_restarts
+        assert len(cert.boundary_optima) == BOUNDARY_STARTS
         json.dumps(cert.to_document())  # serializable
+
+    def test_delta_is_the_least_optimum_and_the_boundary_optima_the_product_minimum(
+        self, shifts_class_upb, third_class_upb
+    ):
+        cert = certify_gap(shifts_class_upb, third_class_upb, FAST)
+        pooled = cert.interior_optima + cert.boundary_optima + (cert.span_overlap_at_argmax,)
+        assert cert.delta_min == min(pooled)
+        assert all(abs(b - PRODUCT_MINIMUM) <= 1e-15 for b in cert.boundary_optima)
 
     def test_nearby_pair_has_smaller_gap(self, shifts_class_upb, third_class_upb):
         near = build_canonical(CanonicalAngles(np.pi / 2 + 0.01, np.pi / 2, np.pi / 2))

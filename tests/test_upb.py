@@ -62,10 +62,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ProductState([np.array([1.0, 1.0]), KET0, KET0])
 
-    def test_product_state_tensor_crosscheck(self):
-        with pytest.raises(ValueError):
-            ProductState([KET0, KET0], tensor=np.array([0, 0, 0, 1.0]))
-
     def test_upb_requires_orthonormal_members(self):
         with pytest.raises(ValueError):
             UPB([ProductState([KET0, KET0, KET0]), ProductState([KET0, KET0, PLUS])])
