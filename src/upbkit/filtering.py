@@ -10,19 +10,19 @@ Both interior objectives work on the source state's support ``C`` (with
 ``rho_S = C C^dag / k``) and are optimized exactly, one 2x2 factor per
 step: the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` by a 4x4 eigenvector,
 the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form from the
-polar factor of ``T^dag X C``.  A restart runs up to ``budget // 48`` sweeps
-of three steps.  The witness infimum may lie on the orbit boundary, whose
-limit states are mixtures of product states; there it is the least weight a
-product state puts on the target's span, reached from ``BOUNDARY_STARTS``
-states by up to ``BOUNDARY_BUDGET // 12`` sweeps of the product-vector
-search's exact descent (:func:`upbkit.product_search._product_descent`).
-One driver, :func:`upbkit.linalg._sweeps`, runs all three pools and drops a
-restart from the batch once it is done: a witness or product-state restart
-when a sweep leaves it bitwise unchanged, a fidelity restart when a sweep
-gains at most ``_STALL_GAIN``.  The fidelity ascent extrapolates each sweep
-along its own direction and keeps the extrapolated point only if it is no
-worse (:func:`_ascent_sweep`).  Multistart certifies no global optimum: the
-results are empirical estimates.
+polar factor of ``T^dag X C``, refreshed once per sweep.  A restart runs up
+to ``budget // 48`` sweeps of three steps, each sweep followed by a line
+extrapolation that is kept only if it is no worse (:func:`_extrapolate`).
+The witness infimum may lie on the orbit boundary, whose limit states are
+mixtures of product states; there it is the least weight a product state
+puts on the target's span, reached from ``BOUNDARY_STARTS`` states by up to
+``BOUNDARY_BUDGET // 12`` sweeps of the product-vector search's exact
+descent (:func:`upbkit.product_search._product_descent`).  One driver,
+:func:`upbkit.linalg._sweeps`, runs all three pools and drops a restart
+from the batch once it is done: an interior restart when a sweep gains at
+most ``_STALL_GAIN``, a product-state restart when a sweep leaves it
+bitwise unchanged.  Multistart certifies no global optimum: the results are
+empirical estimates.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, _changed, _sandwich_spectrum, _sweeps, kron_all
+from .linalg import DensityMatrix, _sandwich_spectrum, _sweeps, kron_all
 from .product_search import DEFAULT_SEED, _product_descent, _unit_starts, finest_partition
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
@@ -44,9 +44,9 @@ _INVALID = 2.0  # objective placeholder outside [0, 1]
 # witness restarts below it keep their factors, and no step goes below it:
 # there the witness is a ratio of rounding-sized norms
 _FREEZE_PROBABILITY = 1e-6
-# a fidelity restart whose sweep gains at most this much stops
+# an interior restart whose sweep gains at most this much stops
 _STALL_GAIN = 1e-14
-# the extrapolation factor of the fidelity ascent grows by this on success
+# the extrapolation factor of the interior pools grows by this on success
 _BETA_GROWTH = 3.0
 BOUNDARY_STARTS = 64  # product-state starts of the boundary probe
 BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
@@ -277,10 +277,12 @@ def boundary_limit(
 class GapSearchConfig:
     """Multistart budget of the interior gap optimizers, and the ``slack`` of
     the consistency flag: ``restarts`` restarts from ``seed`` of up to
-    ``budget // 48`` sweeps of three exact block steps in both pools (the
-    compass search's sweep count at 24 parameters, which the budgets were set
-    for).  A restart stops earlier once it converges (see the module
-    docstring).  The boundary probe's starts and budget are module constants."""
+    ``budget // 48`` sweeps in both pools (the compass search's sweep count
+    at 24 parameters, which the budgets were set for).  A sweep is three
+    exact block steps and one line extrapolation; the fidelity's polar
+    factor is refreshed once per sweep.  A restart stops earlier once a
+    sweep gains at most 1e-14.  The boundary probe's starts and budget are
+    module constants."""
 
     restarts: int = 200
     budget: int = 5000
@@ -452,22 +454,22 @@ def _overlap_objective(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.nd
     return _witness_value(_apply_factors(fac, source.complement_basis), target.span_basis)
 
 
-def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarray:
+def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, source: UPB, target: UPB) -> tuple[np.ndarray, ...]:
     """Minimize the support witness exactly over party ``q``'s factor.
 
     With ``L`` the Cholesky factor of ``W W^dag`` (:func:`_party_gram`),
     ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
     Rayleigh quotient in ``vec(Z)``.  Its lowest eigenvector is scored by
     :func:`_witness_value`, never by the eigenvalue, and taken only if not
-    higher and if its success probability is at least
-    ``_FREEZE_PROBABILITY``.  Restarts below it (their descent runs to the
-    orbit boundary, which the product-state pool covers) or with a Gram
-    worse conditioned than 1e12 keep their factor.
+    higher than the current ``value`` and if its success probability is at
+    least ``_FREEZE_PROBABILITY``.  Restarts whose current ``prob`` is below
+    it (their descent runs to the orbit boundary, which the product-state
+    pool covers) or with a Gram worse conditioned than 1e12 keep their
+    factor.  Returns the factors with their witness value and probability.
     """
     n, k = fac.shape[0], source.complement_basis.shape[1]
     w, gram, det, ok = _party_gram(fac, q, source)
     span = _party_first(target.span_basis[None], q).reshape(8, -1)  # rows (a, rest)
-    value, prob = _witness_value((fac[:, q] @ w).reshape(n, 8, k), span)
     live = ok & (prob >= _FREEZE_PROBABILITY)
     g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
     l11 = np.sqrt(np.where(live, det, 1.0) / g00)
@@ -483,7 +485,7 @@ def _witness_step(fac: np.ndarray, q: int, source: UPB, target: UPB) -> np.ndarr
     accept = live & (trial_value <= value) & (trial_prob >= _FREEZE_PROBABILITY)
     out = fac.copy()
     out[accept, q] = trial[accept]
-    return out
+    return out, np.where(accept, trial_value, value), np.where(accept, trial_prob, prob)
 
 
 def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -504,16 +506,6 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (unitary * np.swapaxes(z, 1, 2)).sum(axis=(1, 2)).real, unitary
 
 
-def _image_fidelity(y: np.ndarray, tcomp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negative fidelity ``-||Z||_* / (sqrt(r) ||Y||_F)`` of each (8, k) image
-    ``Y = X C`` to the target's state, with ``Z = T^dag Y`` for the (8, r)
-    support ``T`` (rows ordered as ``Y``'s), and the polar factor of ``Z``."""
-    nuclear, unitary = _polar(tcomp.conj().T @ y)
-    norm2, valid = _support_weight(y)
-    value = -nuclear / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
-    return np.where(valid, value, _INVALID), unitary
-
-
 def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
     """Negative fidelity of each filter's output to the target's state, and
     the polar factor ``U`` with ``Re tr(U Z) = ||Z||_*`` for ``Z = T^dag X C``.
@@ -521,34 +513,37 @@ def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.nda
     With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r`` the fidelity is
     ``||Z||_* / (sqrt(r) ||X C||_F)``; no 8x8 operator is formed.
     """
-    return _image_fidelity(_apply_factors(fac, source.complement_basis), target.complement_basis)
+    y, tcomp = _apply_factors(fac, source.complement_basis), target.complement_basis
+    nuclear, unitary = _polar(tcomp.conj().T @ y)
+    norm2, valid = _support_weight(y)
+    value = -nuclear / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
+    return np.where(valid, value, _INVALID), unitary
 
 
-def _block_step(fac: np.ndarray, q: int, unitary: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, ...]:
-    """Maximize the support fidelity exactly over party ``q``'s factor.
+def _block_step(fac: np.ndarray, q: int, unitary: np.ndarray, source: UPB, target: UPB) -> np.ndarray:
+    """Maximize the fidelity's surrogate exactly over party ``q``'s factor.
 
-    With ``U`` the polar factor of ``Z`` at the current point, ``Re tr(U Z)``
-    is linear in ``A = A_q``, ``sum_ij A_ij c_ij``, and ``||X C||_F^2`` is
-    ``tr(A G A^dag)`` for the Gram ``G`` of the other two factors applied to
-    ``C``.  By Cauchy-Schwarz the ratio peaks at ``A ~ conj(c) G^-1``, and
-    since ``||Z||_* >= Re tr(U Z)`` the fidelity never decreases.  Restarts
-    whose ``G`` has condition number above 1e12, or whose ``U`` is zero,
-    keep their factor.  Returns the new factors with their negative
-    fidelity and polar factor (:func:`_image_fidelity`), scored from the
-    image ``A W`` the step already holds.
+    With ``U`` the polar factor of ``Z = T^dag X C`` at the sweep's start
+    point, held through the sweep, the surrogate is ``Re tr(U Z) / (sqrt(r)
+    ||X C||_F)``.  ``Re tr(U Z)`` is linear in ``A = A_q``, ``sum_ij A_ij
+    c_ij``, and ``||X C||_F^2`` is ``tr(A G A^dag)`` for the Gram ``G`` of
+    the other two factors applied to ``C``.  By Cauchy-Schwarz the ratio
+    peaks at ``A ~ conj(c) G^-1``, so no step lowers the surrogate.  It
+    equals the fidelity at the start point and, since ``||U||_2 <= 1``,
+    never exceeds it: no sweep lowers the fidelity.  Restarts whose ``G``
+    has condition number above 1e12, or whose ``U`` is zero, keep their
+    factor.
     """
-    n, k = fac.shape[0], source.complement_basis.shape[1]
     w, gram, _, ok = _party_gram(fac, q, source)
     tu = _party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2), q)
     c = tu @ np.swapaxes(w, 1, 2)
     # G^-1 is the adjugate over det > 0
-    adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(n, 2, 2)
+    adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(-1, 2, 2)
     step = _unit_spectral(c.conj() @ adjugate)
     ok &= np.abs(step).max(axis=(1, 2)) > 0
     out = fac.copy()
     out[ok, q] = step[ok]
-    tcomp = _party_first(target.complement_basis[None], q).reshape(8, -1)  # rows (a, rest)
-    return (out, *_image_fidelity((out[:, q] @ w).reshape(n, 8, k), tcomp))
+    return out
 
 
 def _ascent_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
@@ -556,46 +551,69 @@ def _ascent_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
     return (fac, *_support_fidelity(fac, source, target), np.ones(len(fac)))
 
 
-def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
-    """One sweep of the fidelity ascent on ``(factors, value, U, beta)``:
-    the negative fidelity ``value`` and polar factor ``U`` at the factors,
-    and each restart's extrapolation factor ``beta``.
+def _witness_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
+    """The witness descent's state at the given factors, with ``beta = 1``."""
+    return (fac, *_overlap_objective(fac, source, target), np.ones(len(fac)))
 
-    Three block steps (:func:`_block_step`) take the factors ``old`` to
-    ``new``; the extrapolated point ``new + beta (new - old)``, normalized,
-    replaces ``new`` only if its fidelity is at least ``new``'s, so no sweep
-    lowers a restart's fidelity.  ``beta`` grows by ``_BETA_GROWTH`` when the
-    extrapolation is taken and resets to 1 when it is not.  A restart stays
-    live while its sweep gains more than ``_STALL_GAIN`` in fidelity.
+
+def _extrapolate(state: tuple, new: np.ndarray, score) -> tuple[tuple, np.ndarray]:
+    """End a sweep of an interior pool on ``(factors, value, aux, beta)``:
+    ``value`` is minimized, ``aux`` is what the next sweep needs at the
+    factors, and ``beta`` is each restart's extrapolation factor.
+
+    ``new`` holds the factors that the sweep's three block steps reached
+    from ``old``.  The extrapolated point ``new + beta (new - old)``, each
+    factor rescaled to spectral norm 1, replaces ``new`` only if its value
+    is valid and no higher than ``new``'s; ``score(new, ext)`` returns
+    ``(value, aux)`` of both points, with ``_INVALID`` where a point is not
+    admissible.  ``beta`` grows by ``_BETA_GROWTH`` when the extrapolation
+    is taken and resets to 1 when it is not.  A restart stays live while
+    its sweep lowers ``value`` by more than ``_STALL_GAIN``.
     """
-    old, value, unitary, beta = state
+    old, value, _, beta = state
+    ext = _unit_spectral(new + beta[:, None, None, None] * (new - old))
+    (new_value, new_aux), (ext_value, ext_aux) = score(new, ext)
+    take = (ext_value <= new_value) & (ext_value < _INVALID)
+
+    def pick(a, b):
+        return np.where(take.reshape(-1, *[1] * (a.ndim - 1)), b, a)
+    state = (pick(new, ext), pick(new_value, ext_value), pick(new_aux, ext_aux), np.where(take, beta * _BETA_GROWTH, 1.0))
+    return state, value - state[1] > _STALL_GAIN
+
+
+def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
+    """One sweep of the fidelity ascent on ``(factors, value, U, beta)``,
+    with ``value`` the negative fidelity and ``U`` the polar factor at the
+    factors: three block steps (:func:`_block_step`) under that one ``U``,
+    then the extrapolation (:func:`_extrapolate`).  The end point and the
+    extrapolated point are scored together, in one batch."""
+    old, _, unitary, _ = state
     new = old
     for q in range(3):
-        new, new_value, unitary = _block_step(new, q, unitary, source, target)
-    ext = _unit_spectral(new + beta[:, None, None, None] * (new - old))
-    ext_value, ext_unitary = _support_fidelity(ext, source, target)
-    take = (ext_value <= new_value) & (ext_value < _INVALID)
-    new_value = np.where(take, ext_value, new_value)
-    state = (
-        np.where(take[:, None, None, None], ext, new),
-        new_value,
-        np.where(take[:, None, None], ext_unitary, unitary),
-        np.where(take, beta * _BETA_GROWTH, 1.0),
-    )
-    return state, value - new_value > _STALL_GAIN
+        new = _block_step(new, q, unitary, source, target)
+
+    def score(new, ext):
+        value, unitary = _support_fidelity(np.concatenate([new, ext]), source, target)
+        n = len(new)
+        return (value[:n], unitary[:n]), (value[n:], unitary[n:])
+    return _extrapolate(state, new, score)
 
 
-def _fixed_point_sweep(step):
-    """A sweep of ``step(state, q)`` for q = 0, 1, 2 on a one-array state, for
-    :func:`_sweeps`: a restart stays live while the sweep changes its bits.
-    A restart that a whole sweep leaves bitwise unchanged stays so."""
-    def sweep(state):
-        (old,) = state
-        new = old
-        for q in range(3):
-            new = step(new, q)
-        return (new,), _changed((new,), state)
-    return sweep
+def _witness_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
+    """One sweep of the witness descent on ``(factors, value, prob, beta)``,
+    with the witness ``value`` and success probability ``prob`` at the
+    factors: three block steps (:func:`_witness_step`), each handing its
+    scores to the next, then the extrapolation (:func:`_extrapolate`),
+    which is admissible only at a probability of at least
+    ``_FREEZE_PROBABILITY``."""
+    new = state[:3]
+    for q in range(3):
+        new = _witness_step(*new, q, source, target)
+
+    def score(_, ext):
+        value, prob = _overlap_objective(ext, source, target)
+        return new[1:], (np.where(prob >= _FREEZE_PROBABILITY, value, _INVALID), prob)
+    return _extrapolate(state, new[0], score)
 
 
 def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:
@@ -609,19 +627,19 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
-    The interior pool runs exact block steps (:func:`_witness_step`).  A
-    boundary limit's witness value is a weighted mean of the weights its
-    three product states put on the target's span, and a limit with all
-    weight on one party is a single product state, so the boundary pool
-    minimizes ``||S^dag v||^2`` by the product-vector search's exact descent
+    The interior pool runs :func:`_witness_sweep`: exact block steps
+    (:func:`_witness_step`), then a line extrapolation.  A boundary limit's
+    witness value is a weighted mean of the weights its three product
+    states put on the target's span, and a limit with all weight on one
+    party is a single product state, so the boundary pool minimizes
+    ``||S^dag v||^2`` by the product-vector search's exact descent
     (:func:`~upbkit.product_search._product_descent`), whose own weights are
     the boundary optima.  Returns ``(delta, point, interior_optima, boundary_optima)``.
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
-    (fac,) = _sweeps((_interior_starts(rng, config.restarts),), max(1, config.budget // 48),
-                     _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target)))
-    fi, _ = _overlap_objective(fac, source, target)
+    fac, fi, _, _ = _sweeps(_witness_start(_interior_starts(rng, config.restarts), source, target),
+                            max(1, config.budget // 48), lambda s: _witness_sweep(s, source, target))
     point = _interior_point(source, fac[int(np.argmin(fi))])
     *qubits, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
                                    _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
@@ -644,11 +662,11 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     and single-filter outputs of the source's.
 
     Each restart runs up to ``budget // 48`` sweeps of :func:`_ascent_sweep`:
-    three exact block steps (:func:`_block_step`) over the factors, then an
-    extrapolated point kept only if its fidelity is no lower.  A restart
-    stops early once a sweep gains at most 1e-14.  The best filter is
-    re-scored through :func:`apply_filter`.  Returns
-    ``(fidelity, point, fidelity_optima)``.
+    three exact block steps (:func:`_block_step`) under the polar factor of
+    the sweep's start point, then an extrapolated point kept only if its
+    fidelity is no lower.  A restart stops early once a sweep gains at most
+    1e-14.  The best filter is re-scored through :func:`apply_filter`.
+    Returns ``(fidelity, point, fidelity_optima)``.
     """
     config = config or GapSearchConfig()
     starts = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)

@@ -246,28 +246,10 @@ def orthonormality_error(vectors: np.ndarray) -> float:
     return float(np.abs(g - np.eye(g.shape[0])).max())
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    diff = a.matrix - b.matrix
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.abs(w).sum())
-
-
-def random_density_matrix(rng: np.random.Generator, dims: Sequence[int], rank: int | None = None) -> DensityMatrix:
-    """Wishart-distributed random state, mostly for tests and probes."""
-    total = int(np.prod(tuple(dims)))
-    r = rank or total
-    g = rng.standard_normal((total, r)) + 1j * rng.standard_normal((total, r))
-    m = g @ g.conj().T
-    m = m / m.trace().real
-    return DensityMatrix(dims, (m + m.conj().T) / 2)
-
-
 def _changed(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> np.ndarray:
     """Per restart, whether any array of ``new`` differs bitwise from its
-    counterpart in ``old``: the fixed-point test of the block sweeps."""
+    counterpart in ``old``: the fixed-point test of the product-state
+    descent."""
     def bits(a):
         return np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8)
     return np.any([(bits(a) != bits(b)).any(axis=1) for a, b in zip(new, old)], axis=0)

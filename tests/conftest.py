@@ -1,13 +1,32 @@
 import numpy as np
 import pytest
 
-from upbkit import CanonicalAngles, build_canonical
+from upbkit import CanonicalAngles, DensityMatrix, build_canonical
 from upbkit.filtering import LocalFilter, SeparableSuperoperator
 
 
 def random_state(rng, d=2):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def random_density_matrix(rng, dims, rank=None):
+    """Wishart-distributed random state."""
+    total = int(np.prod(tuple(dims)))
+    r = rank or total
+    g = rng.standard_normal((total, r)) + 1j * rng.standard_normal((total, r))
+    m = g @ g.conj().T
+    m = m / m.trace().real
+    return DensityMatrix(dims, (m + m.conj().T) / 2)
+
+
+def trace_distance(a, b):
+    """Half the trace norm of the difference."""
+    if a.dims != b.dims:
+        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    diff = a.matrix - b.matrix
+    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+    return float(0.5 * np.abs(w).sum())
 
 
 def random_local_filter(rng):

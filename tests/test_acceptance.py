@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_separable, random_state
+from conftest import random_separable, random_state, trace_distance
 from upbkit import (
     CanonicalAngles,
     PartitionCut,
@@ -40,7 +40,6 @@ from upbkit.graphs import (
     extension_split,
     realize_coloring,
 )
-from upbkit.linalg import trace_distance
 from upbkit.product_search import Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
 from upbkit.upb import perp_qubit, scrambled

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_filter, random_separable, random_state
+from conftest import random_local_filter, random_separable, random_state, trace_distance
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
     BOUNDARY_STARTS,
@@ -24,18 +24,20 @@ from upbkit.filtering import (
 from upbkit.filtering import (
     _FREEZE_PROBABILITY,
     _INVALID,
+    _apply_factors,
     _ascent_start,
     _ascent_sweep,
     _block_step,
-    _fixed_point_sweep,
     _interior_starts,
     _overlap_objective,
     _polar,
     _support_fidelity,
+    _witness_start,
     _witness_step,
+    _witness_sweep,
     _witness_value,
 )
-from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose, trace_distance
+from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose
 from upbkit.product_search import SearchConfig, Subspace, _descent_sweep, _product_step, find_product_vectors
 from upbkit.upb import perp_qubit, state_of
 
@@ -46,6 +48,15 @@ FIDELITY_REFERENCE = 0.9812328
 # smallest weight a product state puts on the (pi/3)^3 span
 PRODUCT_MINIMUM = 0.027555901447727
 
+# default_rng(77) pair 33: its witness infimum is an interior minimum below
+# the product-state minimum, which few restarts reach
+PAIR_33 = (
+    (0.35155584690440755, 0.932752259065921, 0.6944000128576957),
+    (1.270951206992894, 1.0246653369959153, 1.308131448318956),
+)
+PAIR_33_INTERIOR_MINIMUM = 0.0421852911
+PAIR_33_PRODUCT_MINIMUM = 0.0455631996
+
 FINEST = ((0,), (1,), (2,))
 FAST = GapSearchConfig(restarts=40, budget=2000, seed=11)
 
@@ -55,6 +66,16 @@ def product_weight(qubits: np.ndarray, target) -> np.ndarray:
     witness of its one-column image."""
     psi = np.array([kron_all(q) for q in qubits])[:, :, None]
     return _witness_value(psi, target.span_basis)[0]
+
+
+def surrogate(fac: np.ndarray, unitary: np.ndarray, source, target) -> np.ndarray:
+    """``Re tr(U T^dag X C) / (sqrt(r) ||X C||_F)`` for a fixed ``U``: the
+    fidelity ascent's block steps maximize it, and it equals the fidelity
+    where ``U`` is the polar factor of ``T^dag X C``."""
+    y = _apply_factors(fac, source.complement_basis)
+    tcomp = target.complement_basis
+    linear = np.einsum("nij,nji->n", unitary, tcomp.conj().T @ y).real
+    return linear / np.sqrt(tcomp.shape[1] * (np.abs(y) ** 2).sum(axis=(1, 2)))
 
 
 def plain_sweeps(state: tuple, sweeps: int, sweep) -> tuple:
@@ -360,17 +381,23 @@ class TestFidelityAscent:
         angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_steps_never_lower_the_fidelity(self, angles, seed):
+    def test_block_steps_never_lower_the_surrogate(self, angles, seed):
+        # with the sweep's polar factor U held, each step raises the
+        # surrogate g, which equals the fidelity at the sweep's start and
+        # never exceeds it
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
         fac = _interior_starts(np.random.default_rng(seed), 8)
-        value, unitary = _support_fidelity(fac, source, target)
         for _ in range(3):
+            value, unitary = _support_fidelity(fac, source, target)
+            g = surrogate(fac, unitary, source, target)
+            assert np.abs(g + value).max() < 1e-12
             for q in range(3):
-                fac, new, unitary = _block_step(fac, q, unitary, source, target)
-                assert (new <= value + 1e-12).all()  # negative fidelity
-                assert np.abs(new - _support_fidelity(fac, source, target)[0]).max() < 1e-12
-                value = new
+                fac = _block_step(fac, q, unitary, source, target)
+                new = surrogate(fac, unitary, source, target)
+                assert (new >= g - 1e-12).all()
+                assert (new <= -_support_fidelity(fac, source, target)[0] + 1e-12).all()
+                g = new
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -416,12 +443,12 @@ class TestFidelityAscent:
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
-        _, fac_unitary = _support_fidelity(fac, shifts_class_upb, third_class_upb)
-        _, batch_unitary = _support_fidelity(batch, shifts_class_upb, third_class_upb)
         for _ in range(4):
+            _, fac_unitary = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+            _, batch_unitary = _support_fidelity(batch, shifts_class_upb, third_class_upb)
             for q in range(3):
-                fac, _, fac_unitary = _block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
-                batch, _, batch_unitary = _block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
+                fac = _block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
+                batch = _block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
         values, _ = _support_fidelity(batch, shifts_class_upb, third_class_upb)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
@@ -443,19 +470,20 @@ class TestWitnessDescent:
         rng = np.random.default_rng(seed)
         fac = _interior_starts(rng, 8)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(8)])
-        value, _ = _overlap_objective(fac, source, target)
+        value, prob = _overlap_objective(fac, source, target)
         weight = product_weight(qubits, target)
         for _ in range(3):
             for q in range(3):
-                fac = _witness_step(fac, q, source, target)
+                fac, carried, prob = _witness_step(fac, value, prob, q, source, target)
                 factors = list(np.swapaxes(qubits, 0, 1))
                 factors[q], _ = _product_step(factors, q, target.span_basis, (2, 2, 2), FINEST)
                 qubits = np.stack(factors, axis=1)
-                new, _ = _overlap_objective(fac, source, target)
+                new, new_prob = _overlap_objective(fac, source, target)
                 new_weight = product_weight(qubits, target)
                 assert (new <= value + 1e-12).all()
+                assert np.abs(carried - new).max() < 1e-12 and np.abs(prob - new_prob).max() < 1e-15
                 assert (new_weight <= weight + 1e-12).all()
-                value, weight = new, new_weight
+                value, weight = carried, new_weight
 
     def _aligned(self, upb, rng):
         # |t0,t1,t2><S_0| annihilates the source state
@@ -467,21 +495,24 @@ class TestWitnessDescent:
         value, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
         assert ((prob > 1e-14) & (prob < _FREEZE_PROBABILITY)).all()
         assert (value < _INVALID).all()
-        fac = near.copy()
+        state = (near.copy(), value, prob)
         for _ in range(3):
             for q in range(3):
-                fac = _witness_step(fac, q, shifts_class_upb, third_class_upb)
-        assert np.array_equal(fac, near)
+                state = _witness_step(*state, q, shifts_class_upb, third_class_upb)
+        assert same_rows(state, (near, value, prob))
 
     def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(58)
         aligned = self._aligned(shifts_class_upb, rng)
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
+        fac_state = (fac, *_overlap_objective(fac, shifts_class_upb, third_class_upb))
+        batch_state = (batch, *_overlap_objective(batch, shifts_class_upb, third_class_upb))
         for _ in range(4):
             for q in range(3):
-                fac = _witness_step(fac, q, shifts_class_upb, third_class_upb)
-                batch = _witness_step(batch, q, shifts_class_upb, third_class_upb)
+                fac_state = _witness_step(*fac_state, q, shifts_class_upb, third_class_upb)
+                batch_state = _witness_step(*batch_state, q, shifts_class_upb, third_class_upb)
+        fac, batch = fac_state[0], batch_state[0]
         values, _ = _overlap_objective(batch, shifts_class_upb, third_class_upb)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
@@ -506,7 +537,7 @@ class TestSweeps:
         fac = _interior_starts(rng, restarts)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(restarts)])
         pools = [
-            ((fac,), budget // 48, _fixed_point_sweep(lambda f, q: _witness_step(f, q, source, target))),
+            (_witness_start(fac, source, target), budget // 48, lambda s: _witness_sweep(s, source, target)),
             (_ascent_start(fac, source, target), budget // 48, lambda s: _ascent_sweep(s, source, target)),
             ((*np.swapaxes(qubits, 0, 1), np.full(restarts, np.inf)), budget // 12,
              _descent_sweep(target.span_basis, (2, 2, 2), FINEST)),
@@ -530,7 +561,7 @@ class TestSweeps:
         assert same_rows(out, plain_sweeps(state, 20, sweep))
         assert np.array_equal(out[0][:5], batch[:5])
 
-    def test_all_frozen_batch_returns_after_one_sweep(self, shifts_class_upb, third_class_upb):
+    def test_all_frozen_batch_returns_after_one_sweep(self, shifts_class_upb, third_class_upb, monkeypatch):
         rng = np.random.default_rng(60)
         member = shifts_class_upb.members[0].factors
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
@@ -538,10 +569,11 @@ class TestSweeps:
         _, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
         assert ((prob > 1e-10) & (prob < 1e-8)).all()
         sizes = []
-        step = recording(lambda f, q: _witness_step(f, q, shifts_class_upb, third_class_upb), sizes)
-        (out,) = _sweeps((near,), 100, _fixed_point_sweep(step))
+        monkeypatch.setattr(filtering, "_witness_step", recording(_witness_step, sizes))
+        out = _sweeps(_witness_start(near, shifts_class_upb, third_class_upb), 100,
+                      lambda s: _witness_sweep(s, shifts_class_upb, third_class_upb))
         assert sizes == [4, 4, 4]
-        assert np.array_equal(out, near)
+        assert np.array_equal(out[0], near)
 
     def test_fidelity_restarts_stop_within_half_the_cap(self, shifts_class_upb, third_class_upb, monkeypatch):
         # 200 restarts of up to 5000 // 48 = 104 sweeps: 20 800 without the stop
@@ -582,6 +614,15 @@ class TestOptimizers:
         # minimum that bounds the orbit boundary from below
         delta, _, _, _ = minimize_span_overlap(shifts_class_upb, third_class_upb, GapSearchConfig(seed=3))
         assert delta >= 0.027555901447726856 - 1e-15
+
+    def test_rare_interior_basin_of_pair_33(self):
+        # about 1 in 140 restarts reaches this basin; the extrapolated
+        # descent must not lose it
+        source, target = (build_canonical(CanonicalAngles(*a)) for a in PAIR_33)
+        delta, point, _, boundary = minimize_span_overlap(source, target, GapSearchConfig(seed=3))
+        assert point.kind == "interior"
+        assert abs(delta - PAIR_33_INTERIOR_MINIMUM) < 1e-9
+        assert abs(min(boundary) - PAIR_33_PRODUCT_MINIMUM) < 1e-9
 
     def test_maximize_reaches_one_for_the_same_class(self, shifts_class_upb):
         f, point, _ = maximize_fidelity(shifts_class_upb, shifts_class_upb, FAST)
@@ -639,6 +680,20 @@ class TestCertify:
         pooled = cert.interior_optima + cert.boundary_optima + (cert.span_overlap_at_argmax,)
         assert cert.delta_min == min(pooled)
         assert all(abs(b - PRODUCT_MINIMUM) <= 1e-15 for b in cert.boundary_optima)
+
+    @pytest.mark.parametrize("pair, seed", [
+        (((np.pi / 2,) * 3, (np.pi / 3,) * 3), 3),
+        (((np.pi / 2,) * 3, (np.pi / 3,) * 3), 7),
+        (((np.pi / 2,) * 3, (np.pi / 3,) * 3), 101),
+        (PAIR_33, 3),
+    ], ids=["reference-3", "reference-7", "reference-101", "pair33-3"])
+    def test_fidelity_argmax_is_a_flat_point(self, pair, seed):
+        # at the fidelity argmax F <= sqrt(1 - w) is tight: the output's
+        # compression onto the target's support is proportional to rho_T;
+        # measured within 1.1e-15 at these pairs
+        source, target = (build_canonical(CanonicalAngles(*a)) for a in pair)
+        cert = certify_gap(source, target, GapSearchConfig(seed=seed))
+        assert abs(cert.fidelity_max ** 2 + cert.span_overlap_at_argmax - 1) < 1e-14
 
     def test_nearby_pair_has_smaller_gap(self, shifts_class_upb, third_class_upb):
         near = build_canonical(CanonicalAngles(np.pi / 2 + 0.01, np.pi / 2, np.pi / 2))

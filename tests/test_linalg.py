@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+from conftest import random_density_matrix, trace_distance
 from upbkit import (
     CanonicalAngles,
     DensityMatrix,
@@ -18,7 +19,7 @@ from upbkit import (
     shifts,
     state_of,
 )
-from upbkit.linalg import kron_all, random_density_matrix, trace_distance
+from upbkit.linalg import kron_all
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
