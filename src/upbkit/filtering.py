@@ -50,6 +50,9 @@ _STALL_GAIN = 1e-14
 _BETA_GROWTH = 3.0
 BOUNDARY_STARTS = 64  # product-state starts of the boundary probe
 BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
+# the argmin is labelled interior only when the interior minimum lies more
+# than this below the boundary's; closer minima are a rounding tie
+ARGMIN_TIE_TOL = 1e-12
 
 
 class EquivalentPairError(ValueError):
@@ -644,7 +647,7 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     *qubits, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
                                    _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
     best = min(fi.min(), fb.min())
-    if fb.min() < fi.min():
+    if fi.min() >= fb.min() - ARGMIN_TIE_TOL:
         psi = [q[int(np.argmin(fb))] for q in qubits]
         # the pure product state as the limit weighted on the (member, party)
         # with the largest coefficient, so the probe state is well defined

@@ -76,7 +76,7 @@ class Subspace:
         total = int(np.prod(dims))
         if basis.shape[0] != total:
             raise ValueError(f"basis lives in dimension {basis.shape[0]}, dims give {total}")
-        if orthonormality_error(basis.T) > 1e-12:
+        if not orthonormality_error(basis.T) <= 1e-12:
             raise ValueError("basis columns are not orthonormal within 1e-12")
         basis = basis.copy()
         basis.setflags(write=False)
@@ -339,7 +339,8 @@ def is_extendible(members, config: SearchConfig | None = None) -> ProductVectorH
     found and a decision fell in between, :class:`RankAmbiguityError` is
     raised rather than a verdict.
 
-    ``config`` is accepted for existing callers and ignored.
+    ``config`` is ignored; it stays because ``bench/workloads.py`` still
+    passes its ``EXTEND_SEARCH``.
     """
     members = list(members)
     if not members:

@@ -8,6 +8,7 @@ nested row-major arrays.  A UPB document carries ``dims`` and ``members``
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -23,7 +24,10 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError(f"expected [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    z = complex(float(pair[0]), float(pair[1]))
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite value in {pair!r}")
+    return z
 
 
 def vector_to_lists(v: np.ndarray) -> list[list[float]]:
@@ -49,8 +53,8 @@ def upb_to_document(upb) -> dict[str, Any]:
 
 class MalformedDocumentError(ValueError):
     """A UPB document with the wrong structure: not a mapping, missing keys,
-    wrong types, no members, factors that do not match ``dims``, or
-    canonical angles outside (0, pi)."""
+    wrong types, non-finite numbers, no members, factors that do not match
+    ``dims``, or canonical angles outside (0, pi)."""
 
 
 def upb_from_document(doc: dict):

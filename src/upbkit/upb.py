@@ -48,7 +48,7 @@ class ProductState:
         fs = []
         for f in factors:
             f = np.asarray(f, dtype=complex).reshape(-1)
-            if abs(np.linalg.norm(f) - 1.0) > FACTOR_NORM_TOL:
+            if not abs(np.linalg.norm(f) - 1.0) <= FACTOR_NORM_TOL:
                 raise ValueError(f"factor norm {np.linalg.norm(f)} not 1 within 1e-12")
             f.setflags(write=False)
             fs.append(f)
@@ -89,7 +89,7 @@ class UPB:
             raise ValueError(f"declared dims {tuple(dims)} do not match members {mdims}")
         stack = np.array([m.tensor for m in members])
         gram_err = orthonormality_error(stack)
-        if gram_err > ORTHONORMALITY_TOL:
+        if not gram_err <= ORTHONORMALITY_TOL:
             raise ValueError(f"members are not orthonormal within 1e-10 (error {gram_err})")
         span = stack.T.copy()
         comp = complement_basis(span)
@@ -136,18 +136,6 @@ class CanonicalAngles:
         return (self.theta_a, self.theta_b, self.theta_c)
 
 
-def fold_angle(theta: float) -> float:
-    """Fold an angle into (0, pi) using the theta ~ -theta identification."""
-    t = math.fmod(theta, 2 * math.pi)
-    if t < 0:
-        t += 2 * math.pi
-    if t > math.pi:
-        t = 2 * math.pi - t
-    if t < BOUNDARY_TOL or t > math.pi - BOUNDARY_TOL:
-        raise ValueError(f"angle {theta} folds to the boundary of (0, pi)")
-    return t
-
-
 @dataclass(frozen=True)
 class EquivalenceWitness:
     """Local unitaries and a member permutation matching one UPB to another.
@@ -162,7 +150,7 @@ class EquivalenceWitness:
 
     def __post_init__(self):
         for u in self.unitaries:
-            if orthonormality_error(u) > UNITARITY_TOL:
+            if not orthonormality_error(u) <= UNITARITY_TOL:
                 raise ValueError("witness factor is not unitary within 1e-10")
 
 
@@ -244,50 +232,37 @@ def normal_form_residual(rho: DensityMatrix) -> float:
 def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     """Recover the canonical angles of a three-qubit UPB.
 
-    Follows the classification procedure: rotate one member onto |000>, order
-    the rest so the |1> factors sit on parties A, B, C in turn, then strip the
-    remaining phases.  Extracting angles from factor magnitudes realizes the
-    theta ~ -theta folding into (0, pi).  The returned witness maps the input
-    onto ``build_canonical`` of the returned angles.
+    Each party's orthogonality graph of a UPB is a perfect matching (the one
+    K4 coloring with no extension), so once member 0 is rotated onto |000>
+    its one partner on party A, B or C fills slot 1, 2 or 3.  Angles come
+    from factor magnitudes, which realizes the theta ~ -theta folding into
+    (0, pi), and the phases go into the witness, which maps the input onto
+    ``build_canonical`` of the angles.  Two partners on one party put an
+    angle within 2e-8 of 0 or pi (a "boundary" ``ValueError``); a party
+    with none is not a UPB.
     """
     if upb.dims != (2, 2, 2) or upb.n != 4:
         raise ValueError("canonicalize requires a four-member three-qubit UPB")
-    import itertools
-
-    boundary_hit = False
-    for order in itertools.permutations(range(4)):
-        anchor = upb.members[order[0]]
-        base = [
-            np.array([[np.conj(x[0]), np.conj(x[1])], [-x[1], x[0]]], dtype=complex)
-            for x in anchor.factors
-        ]
-        rotated = [
-            [base[p] @ upb.members[order[k]].factors[p] for p in range(3)]
-            for k in range(4)
-        ]
-        # slot k (k=1,2,3) must carry its |1> factor on party k-1
-        if any(abs(rotated[k][k - 1][0]) > BOUNDARY_TOL for k in (1, 2, 3)):
-            continue
-        seeds = (rotated[2][0], rotated[1][1], rotated[1][2])  # |A>, |B>, |C>
-        if any(abs(s[0]) < BOUNDARY_TOL or abs(s[1]) < BOUNDARY_TOL for s in seeds):
-            boundary_hit = True
-            continue
-        thetas = []
-        unitaries = []
-        for p, s in enumerate(seeds):
-            thetas.append(fold_angle(2 * math.atan2(abs(s[1]), abs(s[0]))))
-            phase_fix = np.diag([np.conj(s[0]) / abs(s[0]), np.conj(s[1]) / abs(s[1])])
-            unitaries.append(phase_fix @ base[p])
-        angles = CanonicalAngles(*thetas)
-        perm = tuple(order.index(j) for j in range(4))
-        witness = EquivalenceWitness(perm, tuple(unitaries), 0.0)
-        err = witness_error(witness, upb, build_canonical(angles))
-        if err <= 1e-6:
-            witness = EquivalenceWitness(perm, tuple(unitaries), err)
-            return angles, witness
-    if boundary_hit:
+    base = [
+        np.array([[np.conj(x[0]), np.conj(x[1])], [-x[1], x[0]]], dtype=complex)
+        for x in upb.members[0].factors
+    ]
+    rotated = [[b @ f for b, f in zip(base, m.factors)] for m in upb.members]
+    partners = [[k for k in (1, 2, 3) if abs(rotated[k][p][0]) <= BOUNDARY_TOL] for p in range(3)]
+    if all(partners) and max(map(len, partners)) > 1:
         raise ValueError("canonical angle lands on the boundary of (0, pi): degenerate family")
-    raise ValueError("no member ordering matches the canonical structure; not a valid UPB")
+    order = [0] + [ks[0] for ks in partners if ks]
+    if len(set(order)) < 4:
+        raise ValueError("member 0 lacks a distinct orthogonality partner per party; not a valid UPB")
+    seeds = (rotated[order[2]][0], rotated[order[1]][1], rotated[order[1]][2])  # |A>, |B>, |C>
+    angles = CanonicalAngles(*(2 * math.atan2(abs(s[1]), abs(s[0])) for s in seeds))
+    unitaries = tuple(np.diag([np.conj(s[0]) / abs(s[0]), np.conj(s[1]) / abs(s[1])]) @ b
+                      for s, b in zip(seeds, base))
+    perm = tuple(order.index(j) for j in range(4))
+    err = witness_error(EquivalenceWitness(perm, unitaries, 0.0), upb, build_canonical(angles))
+    if not err <= 1e-6:
+        raise ValueError("member 0's partners do not give the canonical structure; not a valid UPB")
+    return angles, EquivalenceWitness(perm, unitaries, err)
 
 
 def equivalent(s: UPB, t: UPB) -> EquivalenceWitness | None:

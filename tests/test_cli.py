@@ -87,17 +87,21 @@ class TestExitCodes:
         assert main(certify + ["--slack", "nan"]) == 3
         assert main(certify + ["--slack", "inf"]) == 3
         assert main(["certify", "--source", "tiles", "--target", THIRD_CLASS]) == 3
+        nan_factor = upb_to_document(shifts())
+        nan_factor["members"][1][0][0][0] = float("nan")
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
             {"dims": [2, 2, 2], "members": [1]},
             {"canonical": [0.0, 1.0, 1.0]},
             {"dims": [2, 2, 2], "members": []},
+            nan_factor,
         )
         for i, doc in enumerate(docs):
             path = tmp_path / f"not_a_upb{i}.json"
             path.write_text(json.dumps(doc))
             assert main(["validate", "--upb", str(path)]) == 3
+            assert main(["equiv", "--a", str(path), "--b", SHIFTS_CLASS]) == 3
 
     def test_out_of_memory_is_a_numerical_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

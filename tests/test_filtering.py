@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_local_filter, random_separable, random_state, trace_distance
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
+    ARGMIN_TIE_TOL,
     BOUNDARY_STARTS,
     EquivalentPairError,
     GapSearchConfig,
@@ -56,6 +57,12 @@ PAIR_33 = (
 )
 PAIR_33_INTERIOR_MINIMUM = 0.0421852911
 PAIR_33_PRODUCT_MINIMUM = 0.0455631996
+# default_rng(77) pair 3: at seed 3 its interior and boundary minima are
+# bitwise equal, a rounding tie
+PAIR_3 = (
+    (2.6085514957079368, 0.6438513451313517, 1.130460942800539),
+    (1.1683923933552922, 1.2641559869198375, 0.5179543412032981),
+)
 
 FINEST = ((0,), (1,), (2,))
 FAST = GapSearchConfig(restarts=40, budget=2000, seed=11)
@@ -623,6 +630,13 @@ class TestOptimizers:
         assert point.kind == "interior"
         assert abs(delta - PAIR_33_INTERIOR_MINIMUM) < 1e-9
         assert abs(min(boundary) - PAIR_33_PRODUCT_MINIMUM) < 1e-9
+
+    def test_rounding_tie_is_labelled_boundary(self):
+        source, target = (build_canonical(CanonicalAngles(*a)) for a in PAIR_3)
+        delta, point, interior, boundary = minimize_span_overlap(source, target, GapSearchConfig(seed=3))
+        assert abs(min(interior) - min(boundary)) <= ARGMIN_TIE_TOL
+        assert point.kind == "boundary"
+        assert delta == min(min(interior), min(boundary))
 
     def test_maximize_reaches_one_for_the_same_class(self, shifts_class_upb):
         f, point, _ = maximize_fidelity(shifts_class_upb, shifts_class_upb, FAST)

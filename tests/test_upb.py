@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_state
 from upbkit import (
@@ -59,8 +61,9 @@ class TestConstruction:
             CanonicalAngles(np.pi / 2, np.pi, np.pi / 2)
 
     def test_product_state_requires_unit_factors(self):
-        with pytest.raises(ValueError):
-            ProductState([np.array([1.0, 1.0]), KET0, KET0])
+        for factor in (np.array([1.0, 1.0]), np.array([np.nan, 0.0])):
+            with pytest.raises(ValueError):
+                ProductState([factor, KET0, KET0])
 
     def test_upb_requires_orthonormal_members(self):
         with pytest.raises(ValueError):
@@ -157,6 +160,41 @@ class TestCanonicalize:
         ]
         with pytest.raises(ValueError, match="boundary"):
             canonicalize(UPB(members))
+
+    def test_member_without_a_partner_rejected(self):
+        # every member shares |0> with member 0 on party A
+        members = [ProductState([KET0, b, c]) for b in (KET0, KET1) for c in (KET0, KET1)]
+        with pytest.raises(ValueError, match="not a valid UPB"):
+            canonicalize(UPB(members))
+
+    @pytest.mark.parametrize("party", [0, 1, 2])
+    @pytest.mark.parametrize("angle", [1e-9, np.pi - 1e-9])
+    def test_angle_within_the_boundary_tolerance_rejected(self, party, angle):
+        th = [1.2, 2.0, 0.7]
+        th[party] = angle
+        mixed, _, _ = scrambled(build_canonical(CanonicalAngles(*th)), np.random.default_rng(19))
+        with pytest.raises(ValueError, match="boundary"):
+            canonicalize(mixed)
+
+    @pytest.mark.parametrize("party", [0, 1, 2])
+    @pytest.mark.parametrize("angle", [1e-7, np.pi - 1e-7])
+    def test_angle_near_the_boundary_recovered(self, party, angle):
+        th = [1.2, 2.0, 0.7]
+        th[party] = angle
+        mixed, _, _ = scrambled(build_canonical(CanonicalAngles(*th)), np.random.default_rng(19))
+        angles, _ = canonicalize(mixed)
+        assert np.abs(np.array(angles.as_tuple()) - th).max() < 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.05, np.pi - 0.05), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scrambled_triple_recovered(self, angles, seed):
+        mixed, _, _ = scrambled(build_canonical(CanonicalAngles(*angles)), np.random.default_rng(seed))
+        recovered, witness = canonicalize(mixed)
+        assert np.abs(np.array(recovered.as_tuple()) - angles).max() < 1e-8
+        assert witness.max_error <= 1e-8
 
 
 class TestEquivalent:
