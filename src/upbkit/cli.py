@@ -4,7 +4,14 @@ Every report embeds the full run configuration; identical argv (including
 --seed) produces byte-identical output.  Exit codes: 0 success, 1 for
 negative outcomes where the command defines failure (invalid UPB,
 inequivalent pair, inconsistent certificate), 2 numerical errors, 3 usage
-errors.
+errors.  An input fault is decided where the library raises it: bad
+arguments, unreadable or malformed UPB files, bad config values or
+partitions, and a family that ``equiv`` or ``certify`` cannot label
+(not a four-member three-qubit UPB, degenerate, or not canonical) raise
+:class:`~upbkit.serialize.InputError` and exit 3.  Every other
+``ValueError`` exits 2: members that are not orthonormal, or an
+extendibility verdict within rounding.  ``validate`` gives the
+extendibility verdict itself.
 """
 
 from __future__ import annotations
@@ -17,12 +24,12 @@ import sys
 import numpy as np
 
 from . import qutrit
-from .filtering import EquivalentPairError, GapSearchConfig, certify_gap
+from .filtering import GapSearchConfig, certify_gap
 from .graphs import enumerate_colorings, enumerate_valid_party_graphs, extension_split
-from .product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
+from .product_search import SearchConfig, Subspace, find_product_vectors
 from .serialize import (
     SCHEMA_VERSION,
-    MalformedDocumentError,
+    InputError,
     dumps_report,
     matrix_to_lists,
     upb_from_document,
@@ -51,10 +58,7 @@ class _Parser(argparse.ArgumentParser):
 def load_upb_spec(spec: str):
     """A UPB from ``canonical:tA,tB,tC``, a bundled name, or a JSON file path."""
     if spec.startswith("canonical:"):
-        try:
-            return upb_from_document({"canonical": spec[len("canonical:"):].split(",")})
-        except ValueError as exc:
-            raise UsageError(f"bad canonical spec {spec!r}: {exc}") from exc
+        return upb_from_document({"canonical": spec[len("canonical:"):].split(",")})
     if spec in qutrit.BUNDLED:
         return qutrit.bundled_upb(spec)
     try:
@@ -62,43 +66,22 @@ def load_upb_spec(spec: str):
             return upb_from_document(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot read UPB file {spec!r}: {exc}") from exc
-    except (json.JSONDecodeError, MalformedDocumentError) as exc:
+    except (json.JSONDecodeError, InputError) as exc:
         raise UsageError(f"{spec!r} is not a UPB document: {exc}") from exc
 
 
-def _three_qubit_upb(spec: str):
-    """The four-member three-qubit UPB at ``spec``, the kind canonical angles label."""
-    upb = load_upb_spec(spec)
-    if upb.dims != (2, 2, 2) or upb.n != 4:
-        raise UsageError(f"{spec!r} is not a four-member three-qubit UPB")
-    return upb
-
-
-def _parse_partition(text: str | None, n_parties: int):
+def _parse_partition(text: str | None):
     if text is None:
         return None
-    groups = []
-    for chunk in text.split("|"):
-        if not chunk:
-            raise UsageError(f"empty group in partition {text!r}")
-        try:
-            groups.append(tuple(int(p) for p in chunk.split(",")))
-        except ValueError as exc:
-            raise UsageError(f"bad partition {text!r}: {exc}") from exc
     try:
-        return normalize_partition(groups, n_parties)
+        return [tuple(int(p) for p in chunk.split(",")) for chunk in text.split("|")]
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise InputError(f"bad partition {text!r}: {exc}") from exc
 
 
 def _search_config(args, base: SearchConfig = SearchConfig()) -> SearchConfig:
     """``base`` with the --grid, --tol and --seed flags applied."""
-    try:
-        return dataclasses.replace(
-            base, grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return dataclasses.replace(base, grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed)
 
 
 def _hit_document(hit) -> dict:
@@ -211,7 +194,7 @@ def _run_state(args):
 
 
 def _run_equiv(args):
-    a, b = _three_qubit_upb(args.a), _three_qubit_upb(args.b)
+    a, b = load_upb_spec(args.a), load_upb_spec(args.b)
     canon_a, canon_b = canonicalize(a), canonicalize(b)
     witness = match_canonical(a, b, canon_a, canon_b)
     doc = {
@@ -257,7 +240,7 @@ def _run_search_pv(args):
     upb = load_upb_spec(args.upb)
     basis = upb.span_basis if args.space == "span" else upb.complement_basis
     sub = Subspace(upb.dims, basis)
-    partition = _parse_partition(args.partition, len(upb.dims))
+    partition = _parse_partition(args.partition)
     hits = find_product_vectors(sub, partition, _search_config(args))
     doc = {
         "space": args.space,
@@ -269,21 +252,14 @@ def _run_search_pv(args):
 
 
 def _run_certify(args):
-    source, target = _three_qubit_upb(args.source), _three_qubit_upb(args.target)
-    try:
-        config = GapSearchConfig(
-            restarts=args.restarts, budget=args.budget, seed=args.seed, slack=args.slack
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    source, target = load_upb_spec(args.source), load_upb_spec(args.target)
+    config = GapSearchConfig(restarts=args.restarts, budget=args.budget, seed=args.seed, slack=args.slack)
     cert = certify_gap(source, target, config)
     return (EXIT_OK if cert.consistent else EXIT_NEGATIVE), cert.to_document()
 
 
 def _run_qutrit_extras(args):
     upb = load_upb_spec(args.upb)
-    if len(upb.dims) != 2:
-        raise UsageError(f"{args.upb!r} is not a two-party UPB")
     config = _search_config(args, qutrit.QUTRIT_SEARCH)
     all_hits, extras = qutrit.extra_product_vectors(upb, config)
     doc = {
@@ -338,10 +314,7 @@ def main(argv=None) -> int:
         }
         _emit(args, report)
         return code
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EquivalentPairError as exc:
+    except (UsageError, InputError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -35,6 +35,7 @@ import numpy as np
 
 from .linalg import DensityMatrix, _sandwich_spectrum, _sweeps, kron_all
 from .product_search import DEFAULT_SEED, _product_descent, _unit_starts, finest_partition
+from .serialize import InputError
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
 PROBABILITY_FLOOR = 1e-14
@@ -55,7 +56,7 @@ BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
 ARGMIN_TIE_TOL = 1e-12
 
 
-class EquivalentPairError(ValueError):
+class EquivalentPairError(InputError):
     """Raised when a gap certificate is requested for an equivalent pair."""
 
 
@@ -294,11 +295,11 @@ class GapSearchConfig:
 
     def __post_init__(self):
         if self.restarts < 1 or self.budget < 100:
-            raise ValueError("need a positive restart count and a budget of at least 100")
+            raise InputError("need a positive restart count and a budget of at least 100")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InputError("seed must be non-negative")
         if not 0 <= self.slack < np.inf:
-            raise ValueError("slack must be non-negative and finite")
+            raise InputError("slack must be non-negative and finite")
 
 
 @dataclass(frozen=True)

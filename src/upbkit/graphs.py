@@ -57,10 +57,6 @@ class PartyGraph:
     def sides(self) -> list[tuple[int, int]] | None:
         """Each vertex's (component's smallest vertex, side), or None when an
         odd cycle leaves the graph with no 2-coloring."""
-        sides, closing = self._unite()
-        return None if closing else sides
-
-    def _unite(self) -> tuple[list[tuple[int, int]] | None, tuple[int, int] | None]:
         # parity union-find over the edges in sorted order; a root is always
         # its component's smallest vertex, and a side is the parity of the
         # path to it.  Stops at the first edge that closes an odd cycle.
@@ -78,11 +74,11 @@ class PartyGraph:
             (ri, si), (rj, sj) = find(i), find(j)
             if ri == rj:
                 if si == sj:
-                    return None, (i, j)
+                    return None
                 continue
             lo, hi = min(ri, rj), max(ri, rj)
             root[hi], parity[hi] = lo, si ^ sj ^ 1
-        return [find(v) for v in range(self.n)], None
+        return [find(v) for v in range(self.n)]
 
     def canonical_form(self) -> tuple[tuple[int, int], ...]:
         """Lexicographically smallest edge list over all vertex relabelings."""
@@ -96,27 +92,13 @@ class PartyGraph:
         return best if best is not None else ()
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "valence" or "odd_cycle"
-    vertices: tuple[int, ...]  # the vertex, or the edge that closes the cycle
-
-
-def check_party_constraints(g: PartyGraph) -> list[Violation]:
-    """Vertices of valence 3 or more, then the edge that closes an odd cycle."""
+def is_valid_party_graph(g: PartyGraph) -> bool:
+    """Max valence 2 and no odd cycle."""
     degree = [0] * g.n
     for edge in g.edges:
         for v in edge:
             degree[v] += 1
-    violations = [Violation("valence", (v,)) for v in range(g.n) if degree[v] >= 3]
-    _, closing = g._unite()
-    if closing is not None:
-        violations.append(Violation("odd_cycle", closing))
-    return violations
-
-
-def is_valid_party_graph(g: PartyGraph) -> bool:
-    return not check_party_constraints(g)
+    return max(degree, default=0) <= 2 and g.sides() is not None
 
 
 def enumerate_valid_party_graphs(n: int = 5, min_edges: int = 4) -> list[PartyGraph]:

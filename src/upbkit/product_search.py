@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import _changed, _sweeps, complement_basis, kron_all, orthonormality_error
+from .serialize import InputError
 
 DEFAULT_SEED = 101
 # two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
@@ -54,13 +55,13 @@ class SearchConfig:
 
     def __post_init__(self):
         if self.grid_resolution < 8:
-            raise ValueError("grid_resolution must be at least 8")
+            raise InputError("grid_resolution must be at least 8")
         if not 0 < self.residual_tol < np.inf:
-            raise ValueError("residual_tol must be positive and finite")
+            raise InputError("residual_tol must be positive and finite")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise InputError("max_iterations must be positive")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InputError("seed must be non-negative")
 
 
 class Subspace:
@@ -126,9 +127,9 @@ def normalize_partition(partition, n_parties: int) -> tuple[tuple[int, ...], ...
     groups.sort(key=lambda g: g[0] if g else -1)
     flat = [p for g in groups for p in g]
     if sorted(flat) != list(range(n_parties)) or len(flat) != len(set(flat)):
-        raise ValueError(f"partition {partition} is not a disjoint cover of {n_parties} parties")
+        raise InputError(f"partition {partition} is not a disjoint cover of {n_parties} parties")
     if len(groups) < 2:
-        raise ValueError(f"partition {partition} has fewer than two groups")
+        raise InputError(f"partition {partition} has fewer than two groups")
     return tuple(groups)
 
 

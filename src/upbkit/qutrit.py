@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 from .product_search import ProductVectorHit, SearchConfig, Subspace, find_product_vectors
-from .serialize import upb_from_document
+from .serialize import InputError, upb_from_document
 from .upb import UPB
 
 BUNDLED = ("tiles", "pyramid")
@@ -35,7 +35,7 @@ def extra_product_vectors(
     partition: ``(hits, extras)``, where ``hits`` is every vector the search
     found (members included) and ``extras`` those that are not members."""
     if len(upb.dims) != 2:
-        raise ValueError("extra-vector search expects a two-party UPB")
+        raise InputError(f"{upb!r} is not a two-party UPB")
     sub = Subspace(upb.dims, upb.span_basis)
     hits = find_product_vectors(sub, [(0,), (1,)], config or QUTRIT_SEARCH)
     extras = [h for h in hits if not any(h.matches(m.factors) for m in upb.members)]

@@ -51,18 +51,25 @@ def upb_to_document(upb) -> dict[str, Any]:
     }
 
 
-class MalformedDocumentError(ValueError):
+class InputError(ValueError):
+    """A value from outside the program that the library refuses: a
+    malformed document, a bad config or partition, or a family of the wrong
+    kind.  The CLI exits 3 on it; every other ``ValueError`` is numerical."""
+
+
+class MalformedDocumentError(InputError):
     """A UPB document with the wrong structure: not a mapping, missing keys,
-    wrong types, non-finite numbers, no members, factors that do not match
-    ``dims``, or canonical angles outside (0, pi)."""
+    wrong types, non-finite numbers, no members, or factors that do not
+    match ``dims``."""
 
 
 def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
     whole CLI reports (the ``result`` of ``upbkit build``).
 
-    Faults of the document itself raise :class:`MalformedDocumentError`; a
-    well-formed document whose members are not an orthonormal family raises
+    Faults of the document itself raise :class:`MalformedDocumentError`, and
+    canonical angles outside (0, pi) :class:`InputError`; a well-formed
+    document whose members are not an orthonormal family raises
     ``ValueError``.
     """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
@@ -79,11 +86,7 @@ def upb_from_document(doc: dict):
             angles = [float(a) for a in angles]
         except (TypeError, ValueError) as exc:
             raise MalformedDocumentError(f"canonical angles must be numbers: {exc}") from exc
-        try:
-            angles = CanonicalAngles(*angles)
-        except ValueError as exc:
-            raise MalformedDocumentError(str(exc)) from exc
-        return build_canonical(angles)
+        return build_canonical(CanonicalAngles(*angles))
     try:
         dims = tuple(int(d) for d in doc["dims"])
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]

@@ -18,6 +18,7 @@ import numpy as np
 from . import graphs as graphs_mod
 from .linalg import DensityMatrix, complement_basis, kron_all, orthonormality_error, partial_trace
 from .product_search import is_extendible
+from .serialize import InputError
 
 ORTHONORMALITY_TOL = 1e-10
 FACTOR_NORM_TOL = 1e-12
@@ -130,7 +131,7 @@ class CanonicalAngles:
     def __post_init__(self):
         for name, t in zip("abc", self.as_tuple()):
             if not 0.0 < t < math.pi:
-                raise ValueError(f"theta_{name}={t} outside the open interval (0, pi)")
+                raise InputError(f"theta_{name}={t} outside the open interval (0, pi)")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.theta_a, self.theta_b, self.theta_c)
@@ -238,11 +239,11 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     from factor magnitudes, which realizes the theta ~ -theta folding into
     (0, pi), and the phases go into the witness, which maps the input onto
     ``build_canonical`` of the angles.  Two partners on one party put an
-    angle within 2e-8 of 0 or pi (a "boundary" ``ValueError``); a party
-    with none is not a UPB.
+    angle within 2e-8 of 0 or pi (a "boundary" error); a party with none is
+    not a UPB.  Each of these faults of the input raises :class:`InputError`.
     """
     if upb.dims != (2, 2, 2) or upb.n != 4:
-        raise ValueError("canonicalize requires a four-member three-qubit UPB")
+        raise InputError(f"{upb!r} is not a four-member three-qubit UPB")
     base = [
         np.array([[np.conj(x[0]), np.conj(x[1])], [-x[1], x[0]]], dtype=complex)
         for x in upb.members[0].factors
@@ -250,10 +251,10 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     rotated = [[b @ f for b, f in zip(base, m.factors)] for m in upb.members]
     partners = [[k for k in (1, 2, 3) if abs(rotated[k][p][0]) <= BOUNDARY_TOL] for p in range(3)]
     if all(partners) and max(map(len, partners)) > 1:
-        raise ValueError("canonical angle lands on the boundary of (0, pi): degenerate family")
+        raise InputError("canonical angle lands on the boundary of (0, pi): degenerate family")
     order = [0] + [ks[0] for ks in partners if ks]
     if len(set(order)) < 4:
-        raise ValueError("member 0 lacks a distinct orthogonality partner per party; not a valid UPB")
+        raise InputError("member 0 lacks a distinct orthogonality partner per party; not a valid UPB")
     seeds = (rotated[order[2]][0], rotated[order[1]][1], rotated[order[1]][2])  # |A>, |B>, |C>
     angles = CanonicalAngles(*(2 * math.atan2(abs(s[1]), abs(s[0])) for s in seeds))
     unitaries = tuple(np.diag([np.conj(s[0]) / abs(s[0]), np.conj(s[1]) / abs(s[1])]) @ b
@@ -261,7 +262,7 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     perm = tuple(order.index(j) for j in range(4))
     err = witness_error(EquivalenceWitness(perm, unitaries, 0.0), upb, build_canonical(angles))
     if not err <= 1e-6:
-        raise ValueError("member 0's partners do not give the canonical structure; not a valid UPB")
+        raise InputError("member 0's partners do not give the canonical structure; not a valid UPB")
     return angles, EquivalenceWitness(perm, unitaries, err)
 
 

@@ -4,22 +4,40 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import upbkit
-from upbkit import cli
+from upbkit import cli, qutrit
+from upbkit import upb as upb_module
 from upbkit.cli import main
-from upbkit.serialize import dumps_report, upb_to_document
-from upbkit.upb import shifts
+from upbkit.filtering import EquivalentPairError, GapSearchConfig
+from upbkit.product_search import SearchConfig, normalize_partition
+from upbkit.serialize import InputError, MalformedDocumentError, dumps_report, upb_to_document
+from upbkit.upb import UPB, CanonicalAngles, ProductState, build_canonical, canonicalize, shifts
 
 SHIFTS_CLASS = "canonical:1.5707963267948966,1.5707963267948966,1.5707963267948966"
 THIRD_CLASS = "canonical:1.0471975511965976,1.0471975511965976,1.0471975511965976"
+
+
+def partnerless() -> UPB:
+    """{|000>, |001>, |010>, |011>}: orthonormal and extendible, and no
+    member has a partner on party A, so canonical angles do not label it."""
+    ket = np.eye(2, dtype=complex)
+    return UPB([ProductState([ket[0], b, c]) for b in ket for c in ket])
 
 
 @pytest.fixture()
 def shifts_file(tmp_path):
     path = tmp_path / "shifts.json"
     path.write_text(dumps_report(upb_to_document(shifts())))
+    return str(path)
+
+
+@pytest.fixture()
+def partnerless_file(tmp_path):
+    path = tmp_path / "partnerless.json"
+    path.write_text(dumps_report(upb_to_document(partnerless())))
     return str(path)
 
 
@@ -118,6 +136,60 @@ class TestExitCodes:
         assert main(["validate", "--upb", str(path)]) == 2
         # the extendibility verdict hinges on a rank decision within rounding
         assert main(["validate", "--upb", "canonical:1e-9,1,1"]) == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("spec", ["canonical:1e-12,1,1", "partnerless"])
+    def test_family_without_canonical_angles_is_an_input_error(self, spec, partnerless_file, capsys):
+        spec = partnerless_file if spec == "partnerless" else spec
+        for argv in (["equiv", "--a", spec, "--b", THIRD_CLASS],
+                     ["certify", "--source", spec, "--target", THIRD_CLASS]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+        # validate gives the extendibility verdict instead
+        assert main(["validate", "--upb", spec]) == 1
+
+    def test_rank_ambiguity_is_numerical_only_in_validate(self):
+        # canonicalize rejects the family as degenerate before any rank decision
+        assert main(["equiv", "--a", "canonical:1e-9,1,1", "--b", THIRD_CLASS]) == 3
+        assert main(["validate", "--upb", "canonical:1e-9,1,1"]) == 2
+
+    def test_input_error_is_a_value_error(self):
+        assert issubclass(InputError, ValueError)
+        assert issubclass(MalformedDocumentError, InputError)
+        assert issubclass(EquivalentPairError, InputError)
+
+    @pytest.mark.parametrize("check", [
+        lambda: CanonicalAngles(0.0, 1.0, 1.0),
+        lambda: canonicalize(qutrit.bundled_upb("tiles")),
+        lambda: canonicalize(build_canonical(CanonicalAngles(1e-12, 1.0, 1.0))),
+        lambda: canonicalize(partnerless()),
+        lambda: SearchConfig(grid_resolution=5),
+        lambda: SearchConfig(residual_tol=float("nan")),
+        lambda: SearchConfig(max_iterations=0),
+        lambda: SearchConfig(seed=-1),
+        lambda: normalize_partition([(0,), (0, 1)], 2),
+        lambda: normalize_partition([(0, 1, 2)], 3),
+        lambda: GapSearchConfig(budget=99),
+        lambda: GapSearchConfig(seed=-1),
+        lambda: GapSearchConfig(slack=float("inf")),
+        lambda: qutrit.extra_product_vectors(shifts()),
+    ], ids=[
+        "angles", "canonicalize-kind", "canonicalize-boundary", "canonicalize-partner",
+        "grid", "tol", "iterations", "search-seed", "partition-cover", "partition-groups",
+        "budget", "gap-seed", "slack", "qutrit-parties",
+    ])
+    def test_library_check_raises_input_error(self, check):
+        with pytest.raises(InputError):
+            check()
+
+    def test_canonicalize_witness_check_raises_input_error(self, monkeypatch):
+        # no orthonormal family with one partner per party fails the witness
+        # check, so force its error
+        monkeypatch.setattr(upb_module, "witness_error", lambda *args: 1.0)
+        with pytest.raises(InputError, match="not a valid UPB"):
+            canonicalize(shifts())
 
 
 class TestReports:

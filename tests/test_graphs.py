@@ -13,8 +13,6 @@ from upbkit.graphs import (
     EdgeColoring,
     PartyGraph,
     RealizationError,
-    Violation,
-    check_party_constraints,
     enumerate_colorings,
     enumerate_valid_party_graphs,
     extension_split,
@@ -50,24 +48,23 @@ def scan() -> ColoringScan:
 class TestPartyConstraints:
     def test_path_is_valid(self):
         g = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))
-        assert check_party_constraints(g) == []
+        assert is_valid_party_graph(g)
 
     def test_triangle_has_odd_cycle(self):
         g = PartyGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-        violations = check_party_constraints(g)
-        assert any(v.kind == "odd_cycle" for v in violations)
-        # edges unite in sorted order, so (1, 2) closes the cycle
-        assert violations == [Violation("odd_cycle", (1, 2))]
         assert g.sides() is None
+        assert not is_valid_party_graph(g)
 
     def test_star_has_valence_violation(self):
+        # bipartite, so only the valence of vertex 0 rules it out
         g = PartyGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-        violations = check_party_constraints(g)
-        assert Violation("valence", (0,)) in violations
+        assert g.sides() is not None
+        assert not is_valid_party_graph(g)
 
     def test_five_cycle_is_odd(self):
         g = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}))
-        assert any(v.kind == "odd_cycle" for v in check_party_constraints(g))
+        assert g.sides() is None
+        assert not is_valid_party_graph(g)
 
     def test_sides_of_a_path_and_a_four_cycle(self):
         path = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)}))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from upbkit import (
     state_of,
     validate,
 )
+from upbkit.graphs import PartyGraph
 from upbkit.product_search import Subspace
 from upbkit.serialize import upb_from_document, upb_to_document
 from upbkit.upb import (
@@ -33,6 +36,9 @@ KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
+# the orthogonality graphs of build_canonical's members, per party: the one
+# coloring of K4 whose party graphs are all perfect matchings
+K4_SURVIVOR = ({(0, 1), (2, 3)}, {(0, 2), (1, 3)}, {(0, 3), (1, 2)})
 
 
 class TestConstruction:
@@ -195,6 +201,28 @@ class TestCanonicalize:
         recovered, witness = canonicalize(mixed)
         assert np.abs(np.array(recovered.as_tuple()) - angles).max() < 1e-8
         assert witness.max_error <= 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.05, np.pi - 0.05), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scrambled_graphs_are_the_k4_survivor(self, angles, seed):
+        # canonicalize reads the member order off these graphs: scrambled
+        # member j is canonical member witness.permutation[j]
+        mixed, _, _ = scrambled(build_canonical(CanonicalAngles(*angles)), np.random.default_rng(seed))
+        perm = canonicalize(mixed)[1].permutation
+        relabelled = tuple(
+            {tuple(sorted((perm[i], perm[j]))) for i, j in g.edges} for g in orthogonality_graphs(mixed)
+        )
+        assert relabelled == K4_SURVIVOR
+
+    def test_k4_survivor_has_no_extension_split(self):
+        # a split puts each party's members into one (component, side) class
+        # of that party's graph; any split would extend every realization
+        classes = [PartyGraph(4, frozenset(edges)).sides() for edges in K4_SURVIVOR]
+        for split in itertools.product(range(3), repeat=4):
+            assert any(len({classes[p][k] for k in range(4) if split[k] == p}) > 1 for p in range(3))
 
 
 class TestEquivalent:
