@@ -8,10 +8,10 @@ errors.  An input fault is decided where the library raises it: bad
 arguments, unreadable or malformed UPB files, bad config values or
 partitions, and a family that ``equiv`` or ``certify`` cannot label
 (not a four-member three-qubit UPB, degenerate, or not canonical) raise
-:class:`~upbkit.serialize.InputError` and exit 3.  Every other
-``ValueError`` exits 2: members that are not orthonormal, or an
-extendibility verdict within rounding.  ``validate`` gives the
-extendibility verdict itself.
+:class:`~upbkit.serialize.InputError` and exit 3, as does an unwritable
+``--out`` path.  Every other ``ValueError`` exits 2: members that are not
+orthonormal, or an extendibility verdict within rounding.  ``validate``
+gives the extendibility verdict itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import qutrit
 from .filtering import GapSearchConfig, certify_gap
-from .graphs import enumerate_colorings, enumerate_valid_party_graphs, extension_split
+from .graphs import enumerate_colorings, extension_split
 from .product_search import SearchConfig, Subspace, find_product_vectors
 from .serialize import (
     SCHEMA_VERSION,
@@ -208,32 +208,8 @@ def _run_equiv(args):
 
 def _run_graphs(args):
     scan = enumerate_colorings()
-    # every survivor has a four-edge heavy party, in one of these classes
-    classes = enumerate_valid_party_graphs(5, 4)
-    class_keys = [g.canonical_form() for g in classes]
-    per_class = [0] * len(classes)
-    form_cache: dict[frozenset, tuple] = {}
-    survivors = []
-    for coloring in scan.survivors:
-        heavy = coloring.heavy_parties()
-        heavy_graph = coloring.party_graph(heavy[0])
-        key = frozenset(heavy_graph.edges)
-        if key not in form_cache:
-            form_cache[key] = heavy_graph.canonical_form()
-        per_class[class_keys.index(form_cache[key])] += 1
-        survivors.append({
-            "labels": "".join(coloring.labels),
-            "heavy_parties": list(heavy),
-            "split": "".join(extension_split(coloring)),
-        })
-    doc = {
-        "scanned": scan.scanned,
-        "survivor_count": len(scan.survivors),
-        "classes": [_graph_document(g) for g in classes],
-        "survivors_per_class": per_class,
-        "survivors": survivors,
-    }
-    return EXIT_OK, doc
+    survivors = [{"labels": "".join(c.labels), "split": "".join(extension_split(c))} for c in scan.survivors]
+    return EXIT_OK, {"scanned": scan.scanned, "survivor_count": len(survivors), "survivors": survivors}
 
 
 def _run_search_pv(args):
@@ -295,8 +271,11 @@ def _emit(args, report: dict) -> None:
         lines = [f"{k}: {v}" for k, v in sorted(report["result"].items()) if not isinstance(v, (list, dict))]
         text = "\n".join([f"# {report['config']['subcommand']}"] + lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

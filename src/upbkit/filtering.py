@@ -162,16 +162,6 @@ class SeparableSuperoperator:
         return [f.operator * s for f, s in zip(self.filters, self.scales)]
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A point of the filtering orbit (or its boundary, with probability 0)."""
-
-    filter: LocalFilter
-    probability: float
-    state: DensityMatrix | None
-    kind: str = "interior"
-
-
 def _normalized(dims, out: np.ndarray) -> tuple[DensityMatrix | None, float]:
     """``(out / p, p)`` with ``p = tr(out)``; ``(None, p)`` below the
     probability floor, where the output state is undefined."""
@@ -620,14 +610,7 @@ def _witness_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.nd
     return _extrapolate(state, new[0], score)
 
 
-def _interior_point(source: UPB, fac: np.ndarray) -> OrbitPoint:
-    """The orbit point of one (3, 2, 2) filter, scored through :func:`apply_filter`."""
-    filt = LocalFilter.from_raw(list(fac))
-    state, p = apply_filter(filt, state_of(source))
-    return OrbitPoint(filt, p, state, "interior")
-
-
-def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint, list, list]:
+def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, str, list, list]:
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
@@ -638,30 +621,21 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     party is a single product state, so the boundary pool minimizes
     ``||S^dag v||^2`` by the product-vector search's exact descent
     (:func:`~upbkit.product_search._product_descent`), whose own weights are
-    the boundary optima.  Returns ``(delta, point, interior_optima, boundary_optima)``.
+    the boundary optima.  Returns ``(delta, argmin_kind, interior_optima,
+    boundary_optima)``, the kind ``"interior"`` only when the interior
+    minimum lies more than ``ARGMIN_TIE_TOL`` below the boundary's.
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
-    fac, fi, _, _ = _sweeps(_witness_start(_interior_starts(rng, config.restarts), source, target),
-                            max(1, config.budget // 48), lambda s: _witness_sweep(s, source, target))
-    point = _interior_point(source, fac[int(np.argmin(fi))])
-    *qubits, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
-                                   _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
-    best = min(fi.min(), fb.min())
-    if fi.min() >= fb.min() - ARGMIN_TIE_TOL:
-        psi = [q[int(np.argmin(fb))] for q in qubits]
-        # the pure product state as the limit weighted on the (member, party)
-        # with the largest coefficient, so the probe state is well defined
-        coeffs = np.array([_boundary_coefficients(source, m) for m in range(source.n)])
-        member, party = np.unravel_index(int(np.argmax(coeffs)), coeffs.shape)
-        state = boundary_limit(source, member, psi, psi, np.eye(3)[party])
-        mf = source.members[member].factors
-        filt = LocalFilter.from_raw([np.outer(a, f.conj()) for a, f in zip(psi, mf)])
-        point = OrbitPoint(filt, 0.0, state, "boundary")
-    return max(float(best), 0.0), point, fi.tolist(), fb.tolist()
+    _, fi, _, _ = _sweeps(_witness_start(_interior_starts(rng, config.restarts), source, target),
+                          max(1, config.budget // 48), lambda s: _witness_sweep(s, source, target))
+    *_, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
+                              _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
+    kind = "boundary" if fi.min() >= fb.min() - ARGMIN_TIE_TOL else "interior"
+    return max(float(min(fi.min(), fb.min())), 0.0), kind, fi.tolist(), fb.tolist()
 
 
-def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, OrbitPoint, list]:
+def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, DensityMatrix | None, list]:
     """Empirical maximum fidelity between the target's bound entangled state
     and single-filter outputs of the source's.
 
@@ -669,15 +643,15 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     three exact block steps (:func:`_block_step`) under the polar factor of
     the sweep's start point, then an extrapolated point kept only if its
     fidelity is no lower.  A restart stops early once a sweep gains at most
-    1e-14.  The best filter is re-scored through :func:`apply_filter`.
-    Returns ``(fidelity, point, fidelity_optima)``.
+    1e-14.  Returns ``(fidelity, state, fidelity_optima)``, with ``state``
+    the best filter's output re-scored through :func:`apply_filter`.
     """
     config = config or GapSearchConfig()
     starts = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
     fac, fi, _, _ = _sweeps(_ascent_start(starts, source, target), max(1, config.budget // 48),
                             lambda s: _ascent_sweep(s, source, target))
-    point = _interior_point(source, fac[int(np.argmin(fi))])
-    return min(max(-float(fi.min()), 0.0), 1.0), point, (-fi).tolist()
+    state, _ = apply_filter(LocalFilter.from_raw(list(fac[int(np.argmin(fi))])), state_of(source))
+    return min(max(-float(fi.min()), 0.0), 1.0), state, (-fi).tolist()
 
 
 def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> GapCertificate:
@@ -691,18 +665,18 @@ def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None)
     canon_s, canon_t = canonicalize(source), canonicalize(target)
     if match_canonical(source, target, canon_s, canon_t) is not None:
         raise EquivalentPairError("source and target are equivalent; the gap is undefined")
-    delta, argmin_point, interior_optima, boundary_optima = minimize_span_overlap(source, target, config)
-    fmax, argmax_point, fidelity_optima = maximize_fidelity(source, target, config)
-    overlap_at_argmax = span_overlap(target, argmax_point.state)
+    delta, argmin_kind, interior_optima, boundary_optima = minimize_span_overlap(source, target, config)
+    fmax, argmax_state, fidelity_optima = maximize_fidelity(source, target, config)
+    overlap_at_argmax = span_overlap(target, argmax_state)
     delta = min(delta, overlap_at_argmax)
     perp = np.eye(target.total_dim, dtype=complex) - target.span_projector
-    w = _sandwich_spectrum(perp, argmax_point.state.matrix)
+    w = _sandwich_spectrum(perp, argmax_state.matrix)
     return GapCertificate(
         source_angles=canon_s[0].as_tuple(),
         target_angles=canon_t[0].as_tuple(),
         delta_min=delta,
         fidelity_max=fmax,
-        argmin_kind=argmin_point.kind,
+        argmin_kind=argmin_kind,
         span_overlap_at_argmax=overlap_at_argmax,
         perp_weight_at_argmax=float(w.sum()),
         perp_root_trace_at_argmax=float(np.sqrt(w).sum()),

@@ -17,7 +17,6 @@ each.  :func:`realize_coloring` draws concrete families of a coloring, which
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -80,17 +79,6 @@ class PartyGraph:
             root[hi], parity[hi] = lo, si ^ sj ^ 1
         return [find(v) for v in range(self.n)]
 
-    def canonical_form(self) -> tuple[tuple[int, int], ...]:
-        """Lexicographically smallest edge list over all vertex relabelings."""
-        best = None
-        for perm in itertools.permutations(range(self.n)):
-            relabeled = tuple(
-                sorted((min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in self.edges)
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-        return best if best is not None else ()
-
 
 def is_valid_party_graph(g: PartyGraph) -> bool:
     """Max valence 2 and no odd cycle."""
@@ -99,24 +87,6 @@ def is_valid_party_graph(g: PartyGraph) -> bool:
         for v in edge:
             degree[v] += 1
     return max(degree, default=0) <= 2 and g.sides() is not None
-
-
-def enumerate_valid_party_graphs(n: int = 5, min_edges: int = 4) -> list[PartyGraph]:
-    """All n-vertex graphs with >= min_edges edges, valence <= 2, and no odd
-    cycles, reduced to one representative per isomorphism class."""
-    all_edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    seen: dict[tuple, PartyGraph] = {}
-    for mask in range(1 << len(all_edges)):
-        if bin(mask).count("1") < min_edges:
-            continue
-        edges = frozenset(e for k, e in enumerate(all_edges) if mask >> k & 1)
-        g = PartyGraph(n, edges)
-        if not is_valid_party_graph(g):
-            continue
-        key = g.canonical_form()
-        if key not in seen:
-            seen[key] = PartyGraph(n, frozenset(key))
-    return [seen[k] for k in sorted(seen)]
 
 
 @dataclass(frozen=True)
@@ -134,12 +104,6 @@ class EdgeColoring:
     def party_graph(self, party: str) -> PartyGraph:
         edges = frozenset(e for e, l in zip(K5_EDGES, self.labels) if l == party)
         return PartyGraph(5, edges)
-
-    def edge_count(self, party: str) -> int:
-        return sum(1 for l in self.labels if l == party)
-
-    def heavy_parties(self) -> tuple[str, ...]:
-        return tuple(p for p in PARTY_LABELS if self.edge_count(p) >= 4)
 
 
 @dataclass(frozen=True)

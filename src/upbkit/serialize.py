@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def complex_to_pair(z: complex) -> list[float]:

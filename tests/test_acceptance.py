@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_separable, random_state, trace_distance
+from conftest import canonical_form, heavy_classes, heavy_parties, random_separable, random_state, trace_distance
 from upbkit import (
     CanonicalAngles,
     PartitionCut,
@@ -34,12 +34,7 @@ from upbkit.filtering import (
     certify_gap,
     span_overlap,
 )
-from upbkit.graphs import (
-    enumerate_colorings,
-    enumerate_valid_party_graphs,
-    extension_split,
-    realize_coloring,
-)
+from upbkit.graphs import enumerate_colorings, extension_split, realize_coloring
 from upbkit.product_search import Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
 from upbkit.upb import perp_qubit, scrambled
@@ -123,22 +118,17 @@ def test_criterion_4_five_member_refutation():
     with criterion(4, "coloring scan, two heavy classes, every survivor splits, realizations extend"):
         scan = enumerate_colorings()
         assert scan.scanned == 3 ** 10
-        classes = enumerate_valid_party_graphs(5, 4)
-        assert len(classes) == 2
-        forms = [g.canonical_form() for g in classes]
+        forms = heavy_classes()
+        assert len(forms) == 2
         by_class = {f: [] for f in forms}
-        cache: dict[frozenset, tuple] = {}
         for coloring in scan.survivors:
             # the proof: each survivor extends in every realization
             assert extension_split(coloring) is not None
-            heavy = coloring.heavy_parties()
+            heavy = heavy_parties(coloring)
             assert heavy
-            g = coloring.party_graph(heavy[0])
-            key = frozenset(g.edges)
-            if key not in cache:
-                cache[key] = g.canonical_form()
-            assert cache[key] in forms
-            by_class[cache[key]].append(coloring)
+            form = canonical_form(coloring.party_graph(heavy[0]))
+            assert form in forms
+            by_class[form].append(coloring)
         rng = np.random.default_rng(TRIPLE_SEED + 1)
         for form in forms:
             pool = by_class[form]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -65,7 +66,7 @@ class TestExitCodes:
     def test_validate_upb_file(self, tmp_path, shifts_file):
         code, report = run(tmp_path, "validate", "--upb", shifts_file)
         assert code == 0
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert report["result"]["passed"] is True
         assert set(report["result"]) == {
             "dims", "n_members", "orthonormality_error", "member_count_ok",
@@ -120,6 +121,14 @@ class TestExitCodes:
             path.write_text(json.dumps(doc))
             assert main(["validate", "--upb", str(path)]) == 3
             assert main(["equiv", "--a", str(path), "--b", SHIFTS_CLASS]) == 3
+
+    @pytest.mark.parametrize("out", ["missing/u.json", "."])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, out, capsys):
+        # a missing directory, and a directory where the file should be
+        assert main(["build", "--angles", "1,2,0.5", "--out", str(tmp_path / out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot write report to ")
+        assert err.count("\n") == 1
 
     def test_out_of_memory_is_a_numerical_error(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
@@ -235,13 +244,15 @@ class TestReports:
     def test_graphs_report(self, tmp_path):
         code, report = run(tmp_path, "graphs")
         assert code == 0
+        assert set(report["result"]) == {"scanned", "survivor_count", "survivors"}
         assert report["result"]["scanned"] == 59049
         assert report["result"]["survivor_count"] == 4590
-        assert len(report["result"]["classes"]) == 2
-        assert sum(report["result"]["survivors_per_class"]) == 4590
         survivors = report["result"]["survivors"]
         assert all(len(s["split"]) == 5 and set(s["split"]) <= set("ABC") for s in survivors)
-        assert survivors[0] == {"labels": "AABBBABACC", "heavy_parties": ["A", "B"], "split": "ACBAB"}
+        assert survivors[0] == {"labels": "AABBBABACC", "split": "ACBAB"}
+        # pins the survivor order and every split
+        pairs = json.dumps([[s["labels"], s["split"]] for s in survivors]).encode()
+        assert hashlib.sha256(pairs).hexdigest() == "d6f741bc84c5a31c6e8aca14ff9753359925bb8f335d331fdeb31e89bba56784"
 
     def test_qutrit_extras_report(self, tmp_path):
         code, report = run(tmp_path, "qutrit-extras", "--upb", "tiles")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical_form, heavy_classes, heavy_parties
 from upbkit.graphs import (
     K5_EDGES,
     PARTY_LABELS,
@@ -14,7 +15,6 @@ from upbkit.graphs import (
     PartyGraph,
     RealizationError,
     enumerate_colorings,
-    enumerate_valid_party_graphs,
     extension_split,
     is_valid_party_graph,
     realize_coloring,
@@ -23,8 +23,8 @@ from upbkit.product_search import is_extendible
 
 # the two admissible heavy graphs: a five-vertex path and a four-cycle plus
 # an isolated vertex (canonical labelings from exhaustive enumeration)
-PATH_FORM = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})).canonical_form()
-CYCLE_FORM = PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})).canonical_form()
+PATH_FORM = canonical_form(PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})))
+CYCLE_FORM = canonical_form(PartyGraph(5, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})))
 
 
 @st.composite
@@ -76,17 +76,6 @@ class TestPartyConstraints:
         with pytest.raises(ValueError):
             PartyGraph(3, frozenset({(1, 1)}))
 
-
-class TestEnumerateValidGraphs:
-    def test_exactly_two_classes(self):
-        classes = enumerate_valid_party_graphs(5, 4)
-        assert len(classes) == 2
-        forms = {g.canonical_form() for g in classes}
-        assert forms == {PATH_FORM, CYCLE_FORM}
-
-    def test_impossible_edge_count_is_empty(self):
-        assert enumerate_valid_party_graphs(5, 11) == []
-
     def test_monotone_violation(self):
         # adding edges never removes a violation, so single-party labeling
         # suffices for the existence scan
@@ -107,6 +96,11 @@ class TestEnumerateValidGraphs:
             checked += 1
 
 
+class TestEnumerateValidGraphs:
+    def test_exactly_two_classes(self):
+        assert heavy_classes() == sorted([PATH_FORM, CYCLE_FORM])
+
+
 class TestEnumerateColorings:
     def test_scan_is_exhaustive(self, scan):
         assert scan.scanned == 3 ** 10 == 59049
@@ -116,18 +110,14 @@ class TestEnumerateColorings:
 
     def test_every_survivor_has_heavy_party(self, scan):
         for coloring in scan.survivors:
-            assert coloring.heavy_parties()
+            assert heavy_parties(coloring)
 
     def test_heavy_graphs_fall_into_the_two_classes(self, scan):
-        cache: dict[frozenset, tuple] = {}
         seen = set()
         for coloring in scan.survivors:
-            g = coloring.party_graph(coloring.heavy_parties()[0])
-            key = frozenset(g.edges)
-            if key not in cache:
-                cache[key] = g.canonical_form()
-            seen.add(cache[key])
-            assert cache[key] in (PATH_FORM, CYCLE_FORM)
+            form = canonical_form(coloring.party_graph(heavy_parties(coloring)[0]))
+            seen.add(form)
+            assert form in (PATH_FORM, CYCLE_FORM)
         assert seen == {PATH_FORM, CYCLE_FORM}
 
     def test_order_independence(self, scan):
