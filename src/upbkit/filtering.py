@@ -4,25 +4,46 @@ The witness functional is the total weight a state puts on the target UPB's
 span; it vanishes only for states supported inside the target's bound
 entangled state, and stays bounded away from zero over the whole filtering
 orbit of an inequivalent source.  ``certify_gap`` estimates that gap and the
-matching fidelity ceiling by multistart optimization over filter space.
+matching fidelity ceiling by three multistart pools.  Multistart certifies
+no global optimum: the results are empirical estimates.
 
-Both interior objectives work on the source state's support ``C`` (with
-``rho_S = C C^dag / k``) and are optimized exactly, one 2x2 factor per
-step: the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` by a 4x4 eigenvector,
-the fidelity ``||T^dag X C||_* / (2 ||X C||_F)`` in closed form from the
-polar factor of ``T^dag X C``, refreshed once per sweep.  A restart runs up
-to ``budget // 48`` sweeps of three steps, each sweep followed by a line
-extrapolation that is kept only if it is no worse (:func:`_extrapolate`).
-The witness infimum may lie on the orbit boundary, whose limit states are
-mixtures of product states; there it is the least weight a product state
-puts on the target's span, reached from ``BOUNDARY_STARTS`` states by up to
+*Interior pools.*  With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r``
+on their supports and ``S`` the target's span basis, a filter ``X = A_0 (x)
+A_1 (x) A_2`` has witness ``||S^dag X C||_F^2 / ||X C||_F^2`` and fidelity
+``||Z||_* / (sqrt(r) ||X C||_F)`` with ``Z = T^dag X C``; no 8x8 operator is
+formed.  A restart runs up to ``budget // 48`` sweeps of three exact steps,
+one 2x2 factor each:
+
+- The witness is a ratio of two Hermitian forms in one factor, minimized by
+  a 4x4 eigenvector (:func:`_witness_step`).  Its descent can run to the
+  orbit boundary, where the output is rounding noise, so no step goes below
+  success probability ``_FREEZE_PROBABILITY`` and a restart below it keeps
+  its factors; the boundary probe bounds what it would reach.
+- The fidelity ascent holds the polar factor ``U`` of ``Z`` at the sweep's
+  start (:func:`_polar`) and maximizes the surrogate ``s = Re tr(U Z) /
+  (sqrt(r) ||X C||_F)`` in closed form (:func:`_block_step`).  ``s`` equals
+  the fidelity at the start and, as ``||U||_2 <= 1``, never exceeds it.
+
+A sweep from ``old`` to ``new`` ends with the line extrapolation ``new +
+beta (new - old)``, each factor rescaled to spectral norm 1
+(:func:`_extrapolate`).  It is kept when it is valid and no worse than a bar
+that ``new`` reaches: the witness at ``new``, or ``s`` at ``new``, which
+needs no polar factor.  ``beta`` starts at 1, triples when the point is kept
+and resets when not.  No sweep loses ground, and the ascent pays a polar
+factor for the extrapolated point and, only where that is rejected, for
+``new``.
+
+*Boundary probe.*  Every boundary limit is a mixture of product states
+(:func:`boundary_limit`), so its witness is at least the least weight
+``||S^dag v||^2`` a product state puts on the target's span, which a single
+product state reaches.  The probe runs ``BOUNDARY_STARTS`` starts of up to
 ``BOUNDARY_BUDGET // 12`` sweeps of the product-vector search's exact
-descent (:func:`upbkit.product_search._product_descent`).  One driver,
-:func:`upbkit.linalg._sweeps`, runs all three pools and drops a restart
-from the batch once it is done: an interior restart when a sweep gains at
-most ``_STALL_GAIN``, a product-state restart when a sweep leaves it
-bitwise unchanged.  Multistart certifies no global optimum: the results are
-empirical estimates.
+descent (:func:`_probe_sweep`); each start's optimum is the weight it scored.
+
+*One stop.*  :func:`upbkit.linalg._sweeps` runs all three pools, and a
+restart leaves the batch once a sweep improves its value by at most
+``_STALL_GAIN`` (1e-14).  The rows equal those of sweeping every restart to
+its cap with the same stop.
 """
 
 from __future__ import annotations
@@ -34,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import DensityMatrix, _sandwich_spectrum, _sweeps, kron_all
-from .product_search import DEFAULT_SEED, _product_descent, _unit_starts, finest_partition
+from .product_search import DEFAULT_SEED, _descent_sweep, _unit_starts, finest_partition
 from .serialize import InputError
 from .upb import UPB, canonicalize, match_canonical, perp_qubit, state_of
 
@@ -269,14 +290,10 @@ def boundary_limit(
 
 @dataclass(frozen=True)
 class GapSearchConfig:
-    """Multistart budget of the interior gap optimizers, and the ``slack`` of
-    the consistency flag: ``restarts`` restarts from ``seed`` of up to
-    ``budget // 48`` sweeps in both pools (the compass search's sweep count
-    at 24 parameters, which the budgets were set for).  A sweep is three
-    exact block steps and one line extrapolation; the fidelity's polar
-    factor is refreshed once per sweep.  A restart stops earlier once a
-    sweep gains at most 1e-14.  The boundary probe's starts and budget are
-    module constants."""
+    """Multistart budget of the interior gap pools and the ``slack`` of the
+    consistency flag: ``restarts`` restarts from ``seed`` of up to ``budget
+    // 48`` sweeps each (the compass search's sweep count at 24 parameters,
+    which the budgets were set for).  The module docstring has the pools."""
 
     restarts: int = 200
     budget: int = 5000
@@ -298,10 +315,11 @@ class GapCertificate:
 
     Multistart gives no certified global optimum: ``delta_min`` is an upper
     estimate of the true orbit-wide witness minimum and ``fidelity_max`` a
-    lower estimate of the true fidelity supremum, recorded with the
-    optimizer's ``config`` so runs are reproducible.  ``epsilon =
-    delta_min/2`` via the square-root chain, and the consistency flag asserts
-    ``fidelity_max <= 1 - epsilon + config.slack``.
+    lower estimate of the supremum over single-filter outputs (an LOCC
+    outcome may also mix filters), recorded with the optimizer's ``config``
+    so runs are reproducible.  ``epsilon = delta_min/2`` via the square-root
+    chain, and the consistency flag asserts ``fidelity_max <= 1 - epsilon +
+    config.slack``.
     """
 
     status = "empirical"
@@ -396,17 +414,23 @@ def _interior_starts(rng: np.random.Generator, restarts: int) -> np.ndarray:
     return _unit_spectral(fac)
 
 
+def _apply_party(f: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """(n, 2, 2) factors applied to party ``q`` of an (n or 1, 8, k) array."""
+    t = m.reshape(m.shape[0], 2 ** q, 2, -1)
+    f = f[:, :, :, None, None]
+    return np.stack([f[:, 0, 0] * t[:, :, 0] + f[:, 0, 1] * t[:, :, 1],
+                     f[:, 1, 0] * t[:, :, 0] + f[:, 1, 1] * t[:, :, 1]], axis=2).reshape(len(f), 8, -1)
+
+
 def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) -> np.ndarray:
     """(n, 3, 2, 2) factors applied to the columns of an (8, k) basis, one
-    party at a time; returns (n, 8, k).  Party ``skip`` is left out."""
+    party at a time (:func:`_apply_party`); returns (n, 8, k).  Party
+    ``skip`` is left out."""
     out = basis[None]
     for q in range(3):
         if q != skip:
-            t = out.reshape(out.shape[0], 2 ** q, 2, -1)
-            f = fac[:, q, :, :, None, None]
-            out = np.stack([f[:, 0, 0] * t[:, :, 0] + f[:, 0, 1] * t[:, :, 1],
-                            f[:, 1, 0] * t[:, :, 0] + f[:, 1, 1] * t[:, :, 1]], axis=2)
-    return out.reshape(fac.shape[0], 8, basis.shape[1])
+            out = _apply_party(fac[:, q], out, q)
+    return out
 
 
 def _party_first(m: np.ndarray, q: int) -> np.ndarray:
@@ -414,11 +438,12 @@ def _party_first(m: np.ndarray, q: int) -> np.ndarray:
     return np.moveaxis(m.reshape(m.shape[0], 2, 2, 2, -1), q + 1, 1).reshape(m.shape[0], 2, -1)
 
 
-def _party_gram(fac: np.ndarray, q: int, source: UPB) -> tuple[np.ndarray, ...]:
-    """``W``, the other two factors applied to ``C`` as (n, 2, 4k) with party
-    ``q`` first, its Gram ``W W^dag``, the Gram's determinant, and whether
-    its condition number ``top^2 / det`` is at most 1e12."""
-    w = _party_first(_apply_factors(fac, source.complement_basis, skip=q), q)
+def _party_gram(partial: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    """``W``, the (n, 8, k) image ``partial`` of ``C`` under the other two
+    factors as (n, 2, 4k) with party ``q`` first, its Gram ``W W^dag``, the
+    Gram's determinant, and whether its condition number ``top^2 / det`` is
+    at most 1e12."""
+    w = _party_first(partial, q)
     gram = w @ np.swapaxes(w.conj(), 1, 2)
     tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
     det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
@@ -455,14 +480,13 @@ def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, 
     ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
     Rayleigh quotient in ``vec(Z)``.  Its lowest eigenvector is scored by
     :func:`_witness_value`, never by the eigenvalue, and taken only if not
-    higher than the current ``value`` and if its success probability is at
-    least ``_FREEZE_PROBABILITY``.  Restarts whose current ``prob`` is below
-    it (their descent runs to the orbit boundary, which the product-state
-    pool covers) or with a Gram worse conditioned than 1e12 keep their
-    factor.  Returns the factors with their witness value and probability.
+    higher than ``value`` and at a success probability of at least
+    ``_FREEZE_PROBABILITY``.  Restarts whose ``prob`` is below it or whose
+    Gram is worse conditioned than 1e12 keep their factor.  Returns the
+    factors with their witness value and probability.
     """
     n, k = fac.shape[0], source.complement_basis.shape[1]
-    w, gram, det, ok = _party_gram(fac, q, source)
+    w, gram, det, ok = _party_gram(_apply_factors(fac, source.complement_basis, skip=q), q)
     span = _party_first(target.span_basis[None], q).reshape(8, -1)  # rows (a, rest)
     live = ok & (prob >= _FREEZE_PROBABILITY)
     g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
@@ -502,35 +526,37 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
     """Negative fidelity of each filter's output to the target's state, and
-    the polar factor ``U`` with ``Re tr(U Z) = ||Z||_*`` for ``Z = T^dag X C``.
+    the polar factor ``U`` of ``Z = T^dag X C``."""
+    return _fidelity_at(_apply_factors(fac, source.complement_basis), target.complement_basis)
 
-    With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r`` the fidelity is
-    ``||Z||_* / (sqrt(r) ||X C||_F)``; no 8x8 operator is formed.
-    """
-    y, tcomp = _apply_factors(fac, source.complement_basis), target.complement_basis
+
+def _fidelity_at(y: np.ndarray, tcomp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_support_fidelity` of the (n, 8, k) images ``Y = X C``."""
     nuclear, unitary = _polar(tcomp.conj().T @ y)
+    return _scaled_fidelity(nuclear, y, tcomp.shape[1]), unitary
+
+
+def _scaled_fidelity(trace: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
+    """``-trace / (sqrt(r) ||Y||_F)``, ``_INVALID`` below the probability
+    floor: the negative fidelity for ``trace = ||Z||_*``, the surrogate's
+    for ``trace = Re tr(U Z)``."""
     norm2, valid = _support_weight(y)
-    value = -nuclear / np.sqrt(tcomp.shape[1] * np.where(valid, norm2, 1.0))
-    return np.where(valid, value, _INVALID), unitary
+    return np.where(valid, -trace / np.sqrt(r * np.where(valid, norm2, 1.0)), _INVALID)
 
 
-def _block_step(fac: np.ndarray, q: int, unitary: np.ndarray, source: UPB, target: UPB) -> np.ndarray:
-    """Maximize the fidelity's surrogate exactly over party ``q``'s factor.
+def _block_step(fac: np.ndarray, q: int, partial: np.ndarray, tu: np.ndarray) -> np.ndarray:
+    """Maximize the surrogate ``Re tr(U Z) / (sqrt(r) ||X C||_F)`` exactly
+    over party ``q``'s factor ``A``, given ``partial``, the (n, 8, k) image
+    of ``C`` under the other two factors, and ``tu = conj(T) U^T``.
 
-    With ``U`` the polar factor of ``Z = T^dag X C`` at the sweep's start
-    point, held through the sweep, the surrogate is ``Re tr(U Z) / (sqrt(r)
-    ||X C||_F)``.  ``Re tr(U Z)`` is linear in ``A = A_q``, ``sum_ij A_ij
+    ``Re tr(U Z) = Re sum(tu * X C)`` is linear in ``A``, ``sum_ij A_ij
     c_ij``, and ``||X C||_F^2`` is ``tr(A G A^dag)`` for the Gram ``G`` of
-    the other two factors applied to ``C``.  By Cauchy-Schwarz the ratio
-    peaks at ``A ~ conj(c) G^-1``, so no step lowers the surrogate.  It
-    equals the fidelity at the start point and, since ``||U||_2 <= 1``,
-    never exceeds it: no sweep lowers the fidelity.  Restarts whose ``G``
-    has condition number above 1e12, or whose ``U`` is zero, keep their
-    factor.
+    ``partial``; by Cauchy-Schwarz the ratio peaks at ``A ~ conj(c) G^-1``.
+    Restarts whose ``G`` has condition number above 1e12, or whose ``U`` is
+    zero, keep their factor.
     """
-    w, gram, _, ok = _party_gram(fac, q, source)
-    tu = _party_first(target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2), q)
-    c = tu @ np.swapaxes(w, 1, 2)
+    w, gram, _, ok = _party_gram(partial, q)
+    c = _party_first(tu, q) @ np.swapaxes(w, 1, 2)
     # G^-1 is the adjugate over det > 0
     adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(-1, 2, 2)
     step = _unit_spectral(c.conj() @ adjugate)
@@ -550,87 +576,91 @@ def _witness_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
     return (fac, *_overlap_objective(fac, source, target), np.ones(len(fac)))
 
 
-def _extrapolate(state: tuple, new: np.ndarray, score) -> tuple[tuple, np.ndarray]:
+def _extrapolate(state: tuple, new: np.ndarray, bar: np.ndarray, score, rescore) -> tuple[tuple, np.ndarray]:
     """End a sweep of an interior pool on ``(factors, value, aux, beta)``:
     ``value`` is minimized, ``aux`` is what the next sweep needs at the
     factors, and ``beta`` is each restart's extrapolation factor.
 
-    ``new`` holds the factors that the sweep's three block steps reached
-    from ``old``.  The extrapolated point ``new + beta (new - old)``, each
-    factor rescaled to spectral norm 1, replaces ``new`` only if its value
-    is valid and no higher than ``new``'s; ``score(new, ext)`` returns
-    ``(value, aux)`` of both points, with ``_INVALID`` where a point is not
-    admissible.  ``beta`` grows by ``_BETA_GROWTH`` when the extrapolation
-    is taken and resets to 1 when it is not.  A restart stays live while
-    its sweep lowers ``value`` by more than ``_STALL_GAIN``.
+    ``new`` holds the factors the sweep's block steps reached from ``old``,
+    and ``bar`` a value between ``new``'s and ``old``'s.  ``score(ext)``
+    returns the extrapolated point's ``(value, aux)``, ``_INVALID`` where it
+    is not admissible; it is taken when valid and at most ``bar``, else
+    ``rescore(rows)`` gives ``new``'s on the rows that keep it.  A restart
+    stays live while its sweep lowers ``value`` by more than ``_STALL_GAIN``.
     """
     old, value, _, beta = state
     ext = _unit_spectral(new + beta[:, None, None, None] * (new - old))
-    (new_value, new_aux), (ext_value, ext_aux) = score(new, ext)
-    take = (ext_value <= new_value) & (ext_value < _INVALID)
-
-    def pick(a, b):
-        return np.where(take.reshape(-1, *[1] * (a.ndim - 1)), b, a)
-    state = (pick(new, ext), pick(new_value, ext_value), pick(new_aux, ext_aux), np.where(take, beta * _BETA_GROWTH, 1.0))
-    return state, value - state[1] > _STALL_GAIN
+    ext_value, ext_aux = score(ext)
+    keep = ~((ext_value <= bar) & (ext_value < _INVALID))
+    ext[keep] = new[keep]
+    ext_value[keep], ext_aux[keep] = rescore(keep)
+    return (ext, ext_value, ext_aux, np.where(keep, 1.0, beta * _BETA_GROWTH)), value - ext_value > _STALL_GAIN
 
 
 def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
     """One sweep of the fidelity ascent on ``(factors, value, U, beta)``,
     with ``value`` the negative fidelity and ``U`` the polar factor at the
     factors: three block steps (:func:`_block_step`) under that one ``U``,
-    then the extrapolation (:func:`_extrapolate`).  The end point and the
-    extrapolated point are scored together, in one batch."""
+    then the extrapolation (:func:`_extrapolate`) with the surrogate at the
+    end point as the bar: ``f(old) <= s(new) <= f(new)``.  The steps share
+    party 0's image of ``C``, and the end point's image ``Y`` is party 2
+    applied to the last step's."""
     old, _, unitary, _ = state
-    new = old
-    for q in range(3):
-        new = _block_step(new, q, unitary, source, target)
-
-    def score(new, ext):
-        value, unitary = _support_fidelity(np.concatenate([new, ext]), source, target)
-        n = len(new)
-        return (value[:n], unitary[:n]), (value[n:], unitary[n:])
-    return _extrapolate(state, new, score)
+    basis, tcomp = source.complement_basis, target.complement_basis
+    tu = tcomp.conj() @ np.swapaxes(unitary, 1, 2)
+    new = _block_step(old, 0, _apply_factors(old, basis, skip=0), tu)
+    head = _apply_party(new[:, 0], basis[None], 0)
+    new = _block_step(new, 1, _apply_party(new[:, 2], head, 2), tu)
+    partial = _apply_party(new[:, 1], head, 1)
+    new = _block_step(new, 2, partial, tu)
+    y = _apply_party(new[:, 2], partial, 2)
+    bar = _scaled_fidelity((tu * y).sum(axis=(1, 2)).real, y, tcomp.shape[1])
+    return _extrapolate(state, new, bar, lambda ext: _support_fidelity(ext, source, target),
+                        lambda rows: _fidelity_at(y[rows], tcomp))
 
 
 def _witness_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
     """One sweep of the witness descent on ``(factors, value, prob, beta)``,
     with the witness ``value`` and success probability ``prob`` at the
     factors: three block steps (:func:`_witness_step`), each handing its
-    scores to the next, then the extrapolation (:func:`_extrapolate`),
-    which is admissible only at a probability of at least
-    ``_FREEZE_PROBABILITY``."""
+    scores to the next, then the extrapolation (:func:`_extrapolate`) with
+    the end point's value as the bar."""
     new = state[:3]
     for q in range(3):
         new = _witness_step(*new, q, source, target)
 
-    def score(_, ext):
+    def score(ext):
         value, prob = _overlap_objective(ext, source, target)
-        return new[1:], (np.where(prob >= _FREEZE_PROBABILITY, value, _INVALID), prob)
-    return _extrapolate(state, new[0], score)
+        return np.where(prob >= _FREEZE_PROBABILITY, value, _INVALID), prob
+    return _extrapolate(state, new[0], new[1], score, lambda rows: (new[1][rows], new[2][rows]))
+
+
+def _probe_sweep(state: tuple, target: UPB) -> tuple[tuple, np.ndarray]:
+    """One sweep of the boundary probe on per-party qubits and their weight
+    on the target's span: the product-vector search's exact descent
+    (:func:`~upbkit.product_search._descent_sweep`), with a start live while
+    its sweep lowers the weight by more than ``_STALL_GAIN``."""
+    new, _ = _descent_sweep(target.span_basis, (2, 2, 2), finest_partition(3))(state)
+    return new, state[-1] - new[-1] > _STALL_GAIN
 
 
 def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | None = None) -> tuple[float, str, list, list]:
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
-    The interior pool runs :func:`_witness_sweep`: exact block steps
-    (:func:`_witness_step`), then a line extrapolation.  A boundary limit's
-    witness value is a weighted mean of the weights its three product
-    states put on the target's span, and a limit with all weight on one
-    party is a single product state, so the boundary pool minimizes
-    ``||S^dag v||^2`` by the product-vector search's exact descent
-    (:func:`~upbkit.product_search._product_descent`), whose own weights are
-    the boundary optima.  Returns ``(delta, argmin_kind, interior_optima,
-    boundary_optima)``, the kind ``"interior"`` only when the interior
-    minimum lies more than ``ARGMIN_TIE_TOL`` below the boundary's.
+    Runs the interior pool (:func:`_witness_sweep`) and the boundary probe
+    (:func:`_probe_sweep`).  Returns ``(delta, argmin_kind,
+    interior_optima, boundary_optima)``, the kind ``"interior"`` only when
+    the interior minimum lies more than ``ARGMIN_TIE_TOL`` below the
+    boundary's.
     """
     config = config or GapSearchConfig()
     rng = np.random.default_rng(config.seed)
     _, fi, _, _ = _sweeps(_witness_start(_interior_starts(rng, config.restarts), source, target),
                           max(1, config.budget // 48), lambda s: _witness_sweep(s, source, target))
-    *_, fb = _product_descent(target.span_basis, (2, 2, 2), finest_partition(3),
-                              _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2)), BOUNDARY_BUDGET // 12)
+    starts = _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2))
+    *_, fb = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
+                     lambda s: _probe_sweep(s, target))
     kind = "boundary" if fi.min() >= fb.min() - ARGMIN_TIE_TOL else "interior"
     return max(float(min(fi.min(), fb.min())), 0.0), kind, fi.tolist(), fb.tolist()
 
@@ -639,12 +669,9 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     """Empirical maximum fidelity between the target's bound entangled state
     and single-filter outputs of the source's.
 
-    Each restart runs up to ``budget // 48`` sweeps of :func:`_ascent_sweep`:
-    three exact block steps (:func:`_block_step`) under the polar factor of
-    the sweep's start point, then an extrapolated point kept only if its
-    fidelity is no lower.  A restart stops early once a sweep gains at most
-    1e-14.  Returns ``(fidelity, state, fidelity_optima)``, with ``state``
-    the best filter's output re-scored through :func:`apply_filter`.
+    Runs the fidelity ascent (:func:`_ascent_sweep`).  Returns
+    ``(fidelity, state, fidelity_optima)``, with ``state`` the best filter's
+    output re-scored through :func:`apply_filter`.
     """
     config = config or GapSearchConfig()
     starts = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)

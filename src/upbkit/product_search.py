@@ -6,7 +6,8 @@ puts on the subspace's complement (orthonormal basis ``B``) by an exact
 block descent from many random starts at once: with the other groups'
 factors held, the weight is a quadratic form in one group's factor, so each
 step is one small eigenproblem (:func:`_product_step`).  The gap
-certificate's boundary probe runs the same descent.  A start leaves the
+certificate's boundary probe runs the same sweeps under the gap pools' gain
+stop.  A start leaves the
 batch once done, through the driver the gap pools of :mod:`upbkit.filtering`
 also use (:func:`upbkit.linalg._sweeps`), and ends where sweeping the whole
 batch would leave it.  Completeness is heuristic at the configured number

@@ -9,6 +9,7 @@ from conftest import random_local_filter, random_separable, random_state, trace_
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
     ARGMIN_TIE_TOL,
+    BOUNDARY_BUDGET,
     BOUNDARY_STARTS,
     EquivalentPairError,
     GapSearchConfig,
@@ -32,6 +33,7 @@ from upbkit.filtering import (
     _interior_starts,
     _overlap_objective,
     _polar,
+    _probe_sweep,
     _support_fidelity,
     _witness_start,
     _witness_step,
@@ -39,7 +41,15 @@ from upbkit.filtering import (
     _witness_value,
 )
 from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose
-from upbkit.product_search import SearchConfig, Subspace, _descent_sweep, _product_step, find_product_vectors
+from upbkit.product_search import (
+    SearchConfig,
+    Subspace,
+    _descent_sweep,
+    _product_descent,
+    _product_step,
+    _unit_starts,
+    find_product_vectors,
+)
 from upbkit.upb import perp_qubit, state_of
 
 # regression constants recorded at first computation (deterministic seeds)
@@ -83,6 +93,13 @@ def surrogate(fac: np.ndarray, unitary: np.ndarray, source, target) -> np.ndarra
     tcomp = target.complement_basis
     linear = np.einsum("nij,nji->n", unitary, tcomp.conj().T @ y).real
     return linear / np.sqrt(tcomp.shape[1] * (np.abs(y) ** 2).sum(axis=(1, 2)))
+
+
+def block_step(fac: np.ndarray, q: int, unitary: np.ndarray, source, target) -> np.ndarray:
+    """:func:`_block_step` under the polar factor ``U``, with the image of
+    ``C`` under the other two factors and ``conj(T) U^T`` formed afresh."""
+    tu = target.complement_basis.conj() @ np.swapaxes(unitary, 1, 2)
+    return _block_step(fac, q, _apply_factors(fac, source.complement_basis, skip=q), tu)
 
 
 def plain_sweeps(state: tuple, sweeps: int, sweep) -> tuple:
@@ -400,7 +417,7 @@ class TestFidelityAscent:
             g = surrogate(fac, unitary, source, target)
             assert np.abs(g + value).max() < 1e-12
             for q in range(3):
-                fac = _block_step(fac, q, unitary, source, target)
+                fac = block_step(fac, q, unitary, source, target)
                 new = surrogate(fac, unitary, source, target)
                 assert (new >= g - 1e-12).all()
                 assert (new <= -_support_fidelity(fac, source, target)[0] + 1e-12).all()
@@ -412,15 +429,20 @@ class TestFidelityAscent:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_sweeps_never_lower_the_fidelity(self, angles, seed):
-        # an accepted sweep ends at the extrapolated point or at the plain
-        # block steps' point; either way no restart loses fidelity
+        # a sweep ends at the extrapolated point or at the plain block steps'
+        # point; either way no restart loses fidelity.  It scores the
+        # extrapolated point on every row and the end point only on the rows
+        # that reject it, so a row mixed up between the two batches would
+        # store another point's value or polar factor
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
-        state = _ascent_start(_interior_starts(np.random.default_rng(seed), 8), source, target)
-        for _ in range(8):
+        state = _ascent_start(_interior_starts(np.random.default_rng(seed), 12), source, target)
+        for _ in range(30):
             new, _ = _ascent_sweep(state, source, target)
+            value, unitary = _support_fidelity(new[0], source, target)
             assert (new[1] <= state[1] + 1e-12).all()  # negative fidelity
-            assert np.abs(new[1] - _support_fidelity(new[0], source, target)[0]).max() < 1e-12
+            assert np.abs(new[1] - value).max() < 1e-12
+            assert np.abs(new[2] - unitary).max() < 1e-12
             state = new
 
     def test_polar_factor(self):
@@ -454,8 +476,8 @@ class TestFidelityAscent:
             _, fac_unitary = _support_fidelity(fac, shifts_class_upb, third_class_upb)
             _, batch_unitary = _support_fidelity(batch, shifts_class_upb, third_class_upb)
             for q in range(3):
-                fac = _block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
-                batch = _block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
+                fac = block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
+                batch = block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
         values, _ = _support_fidelity(batch, shifts_class_upb, third_class_upb)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
@@ -590,6 +612,28 @@ class TestSweeps:
         maximize_fidelity(shifts_class_upb, third_class_upb, config)
         assert len(sizes) <= config.budget // 48
         assert sum(sizes) <= config.restarts * (config.budget // 48) // 2
+
+
+class TestBoundaryProbe:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gain_stop_agrees_with_the_bitwise_fixed_point(self, angles, seed):
+        target = build_canonical(CanonicalAngles(*angles))
+        starts = _unit_starts(np.random.default_rng(seed), BOUNDARY_STARTS, (2, 2, 2))
+        *_, probe = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
+                            lambda s: _probe_sweep(s, target))
+        *_, fixed = _product_descent(target.span_basis, (2, 2, 2), FINEST, starts, 4000)
+        assert abs(probe.min() - fixed.min()) < 1e-12
+
+    def test_reference_target_stops_within_20_sweeps(self, shifts_class_upb, third_class_upb, monkeypatch):
+        # run to a bitwise fixed point, the probe took 40 sweeps here
+        sizes = []
+        monkeypatch.setattr(filtering, "_probe_sweep", recording(_probe_sweep, sizes))
+        minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
+        assert len(sizes) <= 20
 
 
 class TestOptimizers:
