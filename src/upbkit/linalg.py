@@ -246,15 +246,6 @@ def orthonormality_error(vectors: np.ndarray) -> float:
     return float(np.abs(g - np.eye(g.shape[0])).max())
 
 
-def _changed(new: Sequence[np.ndarray], old: Sequence[np.ndarray]) -> np.ndarray:
-    """Per restart, whether any array of ``new`` differs bitwise from its
-    counterpart in ``old``: the fixed-point test of the product-state
-    descent."""
-    def bits(a):
-        return np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8)
-    return np.any([(bits(a) != bits(b)).any(axis=1) for a, b in zip(new, old)], axis=0)
-
-
 def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:
     """Up to ``sweeps`` calls of ``sweep`` over a batch of restarts, each call
     run only on the live ones: the one driver of every batched multistart

@@ -5,13 +5,15 @@ The search minimizes the weight ``||B^dag v||^2`` a product state ``v``
 puts on the subspace's complement (orthonormal basis ``B``) by an exact
 block descent from many random starts at once: with the other groups'
 factors held, the weight is a quadratic form in one group's factor, so each
-step is one small eigenproblem (:func:`_product_step`).  The gap
-certificate's boundary probe runs the same sweeps under the gap pools' gain
-stop.  A start leaves the
-batch once done, through the driver the gap pools of :mod:`upbkit.filtering`
-also use (:func:`upbkit.linalg._sweeps`), and ends where sweeping the whole
-batch would leave it.  Completeness is heuristic at the configured number
-of starts: the search documents a found-set, not a certified enumeration.
+step is one small eigenproblem (:func:`_product_step`), in closed form for
+a qubit group.  A start is done once its weight is at most 1e-26 (a hit) or
+a sweep no longer lowers it (any other minimum).  The gap certificate's
+boundary probe runs the same sweeps under the gap pools' gain stop.  A start
+leaves the batch once done, through the driver the gap pools of
+:mod:`upbkit.filtering` also use (:func:`upbkit.linalg._sweeps`), and ends
+where sweeping the whole batch would leave it.  Completeness is heuristic at
+the configured number of starts: the search documents a found-set, not a
+certified enumeration.
 Whether a family of product states extends needs no search:
 :func:`is_extendible` decides it from the members' local factors.
 """
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _changed, _sweeps, complement_basis, kron_all, orthonormality_error
+from .linalg import _sweeps, complement_basis, kron_all, orthonormality_error
 from .serialize import InputError
 
 DEFAULT_SEED = 101
@@ -186,11 +188,14 @@ def residual(factors: Sequence[np.ndarray], subspace: Subspace, partition=None) 
     partition = normalize_partition(partition, len(subspace.dims))
     gdims = _group_dims(subspace.dims, partition)
     vecs = []
-    for f, d in zip(factors, gdims):
+    for i, (f, d) in enumerate(zip(factors, gdims)):
         f = np.asarray(f, dtype=complex).reshape(-1)
         if f.shape[0] != d:
             raise ValueError(f"factor of length {f.shape[0]} does not match group dim {d}")
-        vecs.append((f / np.linalg.norm(f)).reshape(1, -1))
+        norm = np.linalg.norm(f)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"factor {i} has norm {norm}: not a finite nonzero vector")
+        vecs.append((f / norm).reshape(1, -1))
     if len(vecs) != len(partition):
         raise ValueError("number of factors does not match partition")
     v = _interleave(subspace.dims, partition, vecs)[0]
@@ -200,43 +205,72 @@ def residual(factors: Sequence[np.ndarray], subspace: Subspace, partition=None) 
     return float(np.linalg.norm(perp.conj().T @ v))
 
 
-def _product_step(factors, g: int, basis: np.ndarray, dims, partition) -> tuple[np.ndarray, np.ndarray]:
+def _contractions(basis: np.ndarray, dims, partition) -> list[np.ndarray]:
+    """Per group, ``B^dag`` as :func:`_product_step` takes it: rows over the
+    other groups' indices, columns over (row of ``B^dag``, index of ``v_g``)."""
+    k, out = basis.shape[1], []
+    for group, d_g in zip(partition, _group_dims(dims, partition)):
+        order = list(group) + [p for h in partition if h != group for p in h]
+        contract = np.moveaxis(basis.conj().reshape(*dims, k), order, range(len(dims)))
+        out.append(contract.reshape(d_g, -1, k).transpose(1, 2, 0).reshape(-1, k * d_g))
+    return out
+
+
+def _product_step(factors, g: int, contract: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group ``g``'s factor of least weight ``||B^dag v||^2`` with the other
     factors of the product ``v`` held, and that weight, per start.
 
     ``B^dag v = M v_g``, where the (k, d_g) matrix ``M`` contracts ``B^dag``
-    with the other factors, so the lowest eigenvector of ``M^dag M`` is the
-    minimizer.  The weight is ``||M v_g||^2``: the eigenvalue's absolute
-    error near 1e-16 would hide a converged start.  Each product is one
-    small matrix per start, so a start's bits do not depend on its batch.
+    (``contract``) with the other factors, so the lowest eigenvector of
+    ``M^dag M`` is the minimizer, in closed form for a qubit group.  The
+    weight is ``||M v_g||^2``: the eigenvalue's absolute error near 1e-16
+    would hide a converged start.  Each product is one small matrix per
+    start, so a start's bits do not depend on its batch.
     """
-    n, k, d_g = len(factors[g]), basis.shape[1], factors[g].shape[1]
-    others = [h for h in range(len(partition)) if h != g]
-    order = list(partition[g]) + [p for h in others for p in partition[h]]
-    # rows over the other groups' indices, columns over (row of B^dag, index of v_g)
-    contract = np.moveaxis(basis.conj().reshape(*dims, k), order, range(len(dims)))
-    contract = contract.reshape(d_g, -1, k).transpose(1, 2, 0).reshape(-1, k * d_g)
+    n, d_g = len(factors[g]), factors[g].shape[1]
     rest = np.ones((n, 1), dtype=complex)
-    for h in others:
-        rest = (rest[:, :, None] * factors[h][:, None, :]).reshape(n, -1)
-    m = (rest[:, None, :] @ contract).reshape(n, k, d_g)
-    _, vecs = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)
-    v = vecs[:, :, 0]
-    mv = (m @ v[:, :, None])[:, :, 0]
+    for f in factors[:g] + factors[g + 1:]:
+        rest = (rest[:, :, None] * f[:, None, :]).reshape(n, -1)
+    m = (rest[:, None, :] @ contract).reshape(n, -1, d_g)
+    if d_g == 2:
+        m0, m1 = m[:, :, 0], m[:, :, 1]
+        v = _qubit_lowest((m0.real ** 2 + m0.imag ** 2).sum(axis=1), (m0.conj() * m1).sum(axis=1),
+                          (m1.real ** 2 + m1.imag ** 2).sum(axis=1))
+        mv = m0 * v[:, :1] + m1 * v[:, 1:]
+    else:
+        v = np.linalg.eigh(np.swapaxes(m.conj(), 1, 2) @ m)[1][:, :, 0]
+        mv = (m @ v[:, :, None])[:, :, 0]
     return v, (mv.real ** 2 + mv.imag ** 2).sum(axis=1)
+
+
+def _qubit_lowest(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unit lowest eigenvector of the Hermitian ``[[a, b], [b*, c]]`` per row,
+    in closed form: with ``h = (a - c)/2`` and ``r = sqrt(h^2 + |b|^2)``, the
+    perpendicular of the top eigenvector ``(h + r, b*)`` if ``h >= 0``, else
+    ``(b, r - h)``.  Its diagonal term ``t = r + |h|`` never cancels, and
+    dividing by it bounds every entry by 1, so nothing under- or overflows.
+    A multiple of the identity gives ``(0, 1)``."""
+    h = (a - c) / 2
+    t = np.hypot(h, np.abs(b)) + np.abs(h)
+    t[t == 0] = 1
+    # b / t as a real division: numpy's complex one overflows at a subnormal t
+    w = (b.view(float).reshape(-1, 2) / t[:, None]).view(complex)[:, 0]
+    n = 1 / np.sqrt(1 + w.real ** 2 + w.imag ** 2)
+    w *= n
+    return np.stack([np.where(h >= 0, -w, n), np.where(h >= 0, n, -w.conj())], axis=1)
 
 
 def _descent_sweep(basis: np.ndarray, dims, partition):
     """One :func:`_product_step` per group, in order, on a state of per-group
     factors and the weight, for :func:`~upbkit.linalg._sweeps`: a start stays
-    live while the sweep changes its factors' bits and its weight is above
-    ``_CONVERGED_RN2``."""
+    live while the sweep strictly lowers its weight and that weight is above
+    ``_CONVERGED_RN2``.  Each group's contraction of ``B^dag`` is built once."""
+    contracts = _contractions(basis, dims, partition)
     def sweep(state):
-        old = state[:-1]
-        new = list(old)
-        for g in range(len(partition)):
-            new[g], weight = _product_step(new, g, basis, dims, partition)
-        return (*new, weight), _changed(new, old) & (weight > _CONVERGED_RN2)
+        new = list(state[:-1])
+        for g, contract in enumerate(contracts):
+            new[g], weight = _product_step(new, g, contract)
+        return (*new, weight), (weight < state[-1]) & (weight > _CONVERGED_RN2)
     return sweep
 
 

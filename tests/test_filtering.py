@@ -44,6 +44,7 @@ from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_a
 from upbkit.product_search import (
     SearchConfig,
     Subspace,
+    _contractions,
     _descent_sweep,
     _product_descent,
     _product_step,
@@ -505,7 +506,7 @@ class TestWitnessDescent:
             for q in range(3):
                 fac, carried, prob = _witness_step(fac, value, prob, q, source, target)
                 factors = list(np.swapaxes(qubits, 0, 1))
-                factors[q], _ = _product_step(factors, q, target.span_basis, (2, 2, 2), FINEST)
+                factors[q], _ = _product_step(factors, q, _contractions(target.span_basis, (2, 2, 2), FINEST)[q])
                 qubits = np.stack(factors, axis=1)
                 new, new_prob = _overlap_objective(fac, source, target)
                 new_weight = product_weight(qubits, target)
@@ -620,7 +621,7 @@ class TestBoundaryProbe:
         angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=3, max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_gain_stop_agrees_with_the_bitwise_fixed_point(self, angles, seed):
+    def test_gain_stop_agrees_with_the_weight_stop(self, angles, seed):
         target = build_canonical(CanonicalAngles(*angles))
         starts = _unit_starts(np.random.default_rng(seed), BOUNDARY_STARTS, (2, 2, 2))
         *_, probe = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,

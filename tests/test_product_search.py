@@ -16,11 +16,13 @@ from upbkit.product_search import (
     residual,
 )
 from upbkit.product_search import (
+    _contractions,
     _descent_sweep,
     _group_dims,
     _interleave,
     _product_descent,
     _product_step,
+    _qubit_lowest,
 )
 from upbkit.qutrit import bundled_upb
 
@@ -43,20 +45,20 @@ def random_subspace(rng, dims, k) -> Subspace:
 def plain_descent(basis, dims, partition, starts, sweeps):
     """Sweeps of the exact product step over the whole batch, no start
     retired: the reference for :func:`_product_descent`.  A start is done once
-    a sweep leaves its factors bitwise unchanged or its weight at most 1e-26,
-    and keeps that sweep's row from then on."""
+    a sweep does not lower its weight or leaves it at most 1e-26, and keeps
+    that sweep's row from then on."""
+    contracts = _contractions(basis, dims, partition)
     factors = list(starts)
     weight = np.full(len(factors[0]), np.inf)
     done = np.zeros(len(weight), dtype=bool)
     for _ in range(sweeps):
         new = list(factors)
         for g in range(len(partition)):
-            new[g], new_weight = _product_step(new, g, basis, dims, partition)
-        same = np.array([all(a[i].tobytes() == b[i].tobytes() for a, b in zip(new, factors))
-                         for i in range(len(weight))])
+            new[g], new_weight = _product_step(new, g, contracts[g])
+        stop = ~(new_weight < weight) | (new_weight <= 1e-26)
         factors = [np.where(done[:, None], a, b) for a, b in zip(factors, new)]
         weight = np.where(done, weight, new_weight)
-        done |= same | (new_weight <= 1e-26)
+        done |= stop
     return (*factors, weight)
 
 
@@ -118,6 +120,12 @@ class TestResidual:
         sub = span_subspace(third_class_upb)
         with pytest.raises(ValueError):
             residual([np.ones(3), np.ones(2), np.ones(2)], sub)
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.array([np.nan, 1.0])])
+    def test_zero_or_nan_factor_is_refused(self, third_class_upb, bad):
+        sub = span_subspace(third_class_upb)
+        with pytest.raises(ValueError, match="factor 1 "):
+            residual([np.ones(2), bad, np.ones(2)], sub)
 
 
 class TestFindProductVectors:
@@ -191,6 +199,58 @@ class TestFindProductVectors:
         assert len(hits) == 4
         for h in hits:
             assert any(h.matches(m.factors, 1e-8) for m in u.members)
+
+
+def lowest_errors(h: np.ndarray) -> tuple[float, float]:
+    """For :func:`_qubit_lowest`'s vector ``v`` of the 2x2 Hermitian ``h``:
+    ``||(h - lambda_min) v||`` with ``lambda_min`` from ``eigh``, and
+    ``| ||v|| - 1 |``."""
+    v = _qubit_lowest(h[None, 0, 0].real, h[None, 0, 1], h[None, 1, 1].real)[0]
+    return np.linalg.norm(h @ v - np.linalg.eigvalsh(h)[0] * v), abs(np.linalg.norm(v) - 1)
+
+
+class TestQubitLowest:
+    """The closed-form lowest eigenvector of a qubit step against ``eigh``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # entries of 0 or at least 1e-100 keep the Gram above the subnormal
+        # range, where a residual of 1e-13 ||H|| is not representable
+        entries=st.lists(st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 1e-100), min_size=8, max_size=8),
+        exponent=st.integers(-20, 20),
+    )
+    def test_random_psd(self, entries, exponent):
+        g = (np.array(entries[:4]) + 1j * np.array(entries[4:])).reshape(2, 2)
+        h = (g.conj().T @ g) * 10.0 ** exponent
+        residual_norm, norm_error = lowest_errors(h)
+        assert residual_norm <= 1e-13 * np.linalg.norm(h, 2)
+        assert norm_error <= 1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["zero", "identity", "diagonal", "reversed", "rank one", "ratio 1e-30"]),
+        scale=st.floats(1e-10, 1e10),
+        angles=st.lists(st.floats(0, 2 * np.pi), min_size=3, max_size=3),
+    )
+    def test_degenerate(self, kind, scale, angles):
+        theta, phi, psi = angles
+        u = np.array([np.cos(theta), np.exp(1j * phi) * np.sin(theta)])
+        w = np.column_stack([u, [-u[1].conj(), u[0].conj()]]) * np.exp(1j * psi)
+        h = {
+            "zero": np.zeros((2, 2)),
+            "identity": scale * np.eye(2),
+            "diagonal": np.diag([scale, scale * np.cos(theta) ** 2]),
+            "reversed": np.diag([scale * np.cos(theta) ** 2, scale]),
+            "rank one": scale * np.outer(u, u.conj()),
+            "ratio 1e-30": (w * [scale, scale * 1e-30]) @ w.conj().T,
+        }[kind].astype(complex)
+        residual_norm, norm_error = lowest_errors(h)
+        assert residual_norm <= 1e-13 * np.linalg.norm(h, 2)
+        assert norm_error <= 1e-15
+
+    def test_subnormal_gram_gives_a_unit_vector(self):
+        h = np.array([[3e-318, 1e-318 + 2e-318j], [1e-318 - 2e-318j, 4e-318]])
+        assert lowest_errors(h)[1] <= 1e-15
 
 
 class TestRefine:
@@ -271,6 +331,14 @@ class TestRefine:
             assert len(find_product_vectors(span_subspace(u), partition)) == 4
             assert sizes[0] == 16 ** 2 * sum(d - 1 for d in _group_dims((2, 2, 2), partition))
             assert sum(sizes) <= 4 * sizes[0]
+
+    def test_starts_off_the_subspace_stop_once_their_weight_stops_falling(self, monkeypatch):
+        # stopped at a bitwise fixed point, this search took 12 433 restart-sweeps
+        sizes = []
+        monkeypatch.setattr(product_search, "_descent_sweep", lambda *a: recording(_descent_sweep(*a), sizes))
+        u = build_canonical(CanonicalAngles(1, 2, 0.5))
+        assert find_product_vectors(span_subspace(u).complement()) == []
+        assert sum(sizes) <= 12433 // 2
 
 
 class TestIsExtendible:
