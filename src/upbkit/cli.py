@@ -4,14 +4,14 @@ Every report embeds the full run configuration; identical argv (including
 --seed) produces byte-identical output.  Exit codes: 0 success, 1 for
 negative outcomes where the command defines failure (invalid UPB,
 inequivalent pair, inconsistent certificate), 2 numerical errors, 3 usage
-errors.  An input fault is decided where the library raises it: bad
-arguments, unreadable or malformed UPB files, bad config values or
-partitions, and a family that ``equiv`` or ``certify`` cannot label
-(not a four-member three-qubit UPB, degenerate, or not canonical) raise
-:class:`~upbkit.serialize.InputError` and exit 3, as does an unwritable
-``--out`` path.  Every other ``ValueError`` exits 2: members that are not
-orthonormal, or an extendibility verdict within rounding.  ``validate``
-gives the extendibility verdict itself.
+errors.  An input fault is decided where it is raised, as the one
+:class:`~upbkit.serialize.InputError`, and exits 3: bad arguments,
+unreadable or malformed UPB files, bad config values or partitions, a family
+that ``equiv`` or ``certify`` cannot label (not a four-member three-qubit
+UPB, degenerate, or not canonical) and an unwritable ``--out`` path.  Every
+other ``ValueError`` exits 2: members that are not orthonormal, or an
+extendibility verdict within rounding.  ``validate`` gives the
+extendibility verdict itself.
 """
 
 from __future__ import annotations
@@ -46,13 +46,9 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise InputError(message)
 
 
 def load_upb_spec(spec: str):
@@ -65,9 +61,9 @@ def load_upb_spec(spec: str):
         with open(spec, "r", encoding="utf-8") as fh:
             return upb_from_document(json.load(fh))
     except OSError as exc:
-        raise UsageError(f"cannot read UPB file {spec!r}: {exc}") from exc
+        raise InputError(f"cannot read UPB file {spec!r}: {exc}") from exc
     except (json.JSONDecodeError, InputError) as exc:
-        raise UsageError(f"{spec!r} is not a UPB document: {exc}") from exc
+        raise InputError(f"{spec!r} is not a UPB document: {exc}") from exc
 
 
 def _parse_partition(text: str | None):
@@ -275,7 +271,7 @@ def _emit(args, report: dict) -> None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write report to {args.out!r}: {exc}") from exc
+            raise InputError(f"cannot write report to {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -293,7 +289,7 @@ def main(argv=None) -> int:
         }
         _emit(args, report)
         return code
-    except (UsageError, InputError) as exc:
+    except InputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, np.linalg.LinAlgError) as exc:

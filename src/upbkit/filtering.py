@@ -7,12 +7,13 @@ orbit of an inequivalent source.  ``certify_gap`` estimates that gap and the
 matching fidelity ceiling by three multistart pools.  Multistart certifies
 no global optimum: the results are empirical estimates.
 
-*Interior pools.*  With ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r``
-on their supports and ``S`` the target's span basis, a filter ``X = A_0 (x)
-A_1 (x) A_2`` has witness ``||S^dag X C||_F^2 / ||X C||_F^2`` and fidelity
-``||Z||_* / (sqrt(r) ||X C||_F)`` with ``Z = T^dag X C``; no 8x8 operator is
-formed.  A restart runs up to ``budget // 48`` sweeps of three exact steps,
-one 2x2 factor each:
+*Interior pools.*  The pools run on three (8, k) bases, not on UPBs: the
+source's complement ``C`` and the target's span ``S`` and complement ``T``,
+with ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r``.  A filter ``X =
+A_0 (x) A_1 (x) A_2`` has witness ``||S^dag X C||_F^2 / ||X C||_F^2`` (for
+any orthonormal ``S``) and fidelity ``||Z||_* / (sqrt(r) ||X C||_F)`` with
+``Z = T^dag X C``; no 8x8 operator is formed.  A restart runs up to ``budget
+// 48`` sweeps of three exact steps, one 2x2 factor each:
 
 - The witness is a ratio of two Hermitian forms in one factor, minimized by
   a 4x4 eigenvector (:func:`_witness_step`).  Its descent can run to the
@@ -38,7 +39,8 @@ factor for the extrapolated point and, only where that is rejected, for
 ``||S^dag v||^2`` a product state puts on the target's span, which a single
 product state reaches.  The probe runs ``BOUNDARY_STARTS`` starts of up to
 ``BOUNDARY_BUDGET // 12`` sweeps of the product-vector search's exact
-descent (:func:`_probe_sweep`); each start's optimum is the weight it scored.
+descent on ``S``, built once (:func:`_probe_sweep`); each start's optimum is
+the weight it scored.
 
 *One stop.*  :func:`upbkit.linalg._sweeps` runs all three pools, and a
 restart leaves the batch once a sweep improves its value by at most
@@ -467,14 +469,10 @@ def _witness_value(y: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(valid, value, _INVALID), norm2 / y.shape[-1]
 
 
-def _overlap_objective(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
-    """Witness ``||S^dag X C||_F^2 / ||X C||_F^2`` of each filter's output
-    (``S`` the target's span basis) and its success probability."""
-    return _witness_value(_apply_factors(fac, source.complement_basis), target.span_basis)
-
-
-def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, source: UPB, target: UPB) -> tuple[np.ndarray, ...]:
-    """Minimize the support witness exactly over party ``q``'s factor.
+def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, basis: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Minimize the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` exactly over
+    party ``q``'s factor, for the (8, k) ``basis`` ``C`` and any (8, m)
+    ``span`` ``S`` with orthonormal columns.
 
     With ``L`` the Cholesky factor of ``W W^dag`` (:func:`_party_gram`),
     ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
@@ -485,9 +483,9 @@ def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, 
     Gram is worse conditioned than 1e12 keep their factor.  Returns the
     factors with their witness value and probability.
     """
-    n, k = fac.shape[0], source.complement_basis.shape[1]
-    w, gram, det, ok = _party_gram(_apply_factors(fac, source.complement_basis, skip=q), q)
-    span = _party_first(target.span_basis[None], q).reshape(8, -1)  # rows (a, rest)
+    n, k = fac.shape[0], basis.shape[1]
+    w, gram, det, ok = _party_gram(_apply_factors(fac, basis, skip=q), q)
+    span = _party_first(span[None], q).reshape(8, -1)  # rows (a, rest)
     live = ok & (prob >= _FREEZE_PROBABILITY)
     g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
     l11 = np.sqrt(np.where(live, det, 1.0) / g00)
@@ -524,14 +522,9 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (unitary * np.swapaxes(z, 1, 2)).sum(axis=(1, 2)).real, unitary
 
 
-def _support_fidelity(fac: np.ndarray, source: UPB, target: UPB) -> tuple[np.ndarray, np.ndarray]:
-    """Negative fidelity of each filter's output to the target's state, and
-    the polar factor ``U`` of ``Z = T^dag X C``."""
-    return _fidelity_at(_apply_factors(fac, source.complement_basis), target.complement_basis)
-
-
 def _fidelity_at(y: np.ndarray, tcomp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_support_fidelity` of the (n, 8, k) images ``Y = X C``."""
+    """Negative fidelity of each (n, 8, k) image ``Y = X C`` to the state of
+    the (8, r) ``tcomp`` ``T``, and the polar factor ``U`` of ``T^dag Y``."""
     nuclear, unitary = _polar(tcomp.conj().T @ y)
     return _scaled_fidelity(nuclear, y, tcomp.shape[1]), unitary
 
@@ -566,16 +559,6 @@ def _block_step(fac: np.ndarray, q: int, partial: np.ndarray, tu: np.ndarray) ->
     return out
 
 
-def _ascent_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
-    """The fidelity ascent's state at the given factors, with ``beta = 1``."""
-    return (fac, *_support_fidelity(fac, source, target), np.ones(len(fac)))
-
-
-def _witness_start(fac: np.ndarray, source: UPB, target: UPB) -> tuple:
-    """The witness descent's state at the given factors, with ``beta = 1``."""
-    return (fac, *_overlap_objective(fac, source, target), np.ones(len(fac)))
-
-
 def _extrapolate(state: tuple, new: np.ndarray, bar: np.ndarray, score, rescore) -> tuple[tuple, np.ndarray]:
     """End a sweep of an interior pool on ``(factors, value, aux, beta)``:
     ``value`` is minimized, ``aux`` is what the next sweep needs at the
@@ -597,7 +580,7 @@ def _extrapolate(state: tuple, new: np.ndarray, bar: np.ndarray, score, rescore)
     return (ext, ext_value, ext_aux, np.where(keep, 1.0, beta * _BETA_GROWTH)), value - ext_value > _STALL_GAIN
 
 
-def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
+def _ascent_sweep(state: tuple, basis: np.ndarray, tcomp: np.ndarray) -> tuple[tuple, np.ndarray]:
     """One sweep of the fidelity ascent on ``(factors, value, U, beta)``,
     with ``value`` the negative fidelity and ``U`` the polar factor at the
     factors: three block steps (:func:`_block_step`) under that one ``U``,
@@ -606,7 +589,6 @@ def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.nda
     party 0's image of ``C``, and the end point's image ``Y`` is party 2
     applied to the last step's."""
     old, _, unitary, _ = state
-    basis, tcomp = source.complement_basis, target.complement_basis
     tu = tcomp.conj() @ np.swapaxes(unitary, 1, 2)
     new = _block_step(old, 0, _apply_factors(old, basis, skip=0), tu)
     head = _apply_party(new[:, 0], basis[None], 0)
@@ -615,11 +597,11 @@ def _ascent_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.nda
     new = _block_step(new, 2, partial, tu)
     y = _apply_party(new[:, 2], partial, 2)
     bar = _scaled_fidelity((tu * y).sum(axis=(1, 2)).real, y, tcomp.shape[1])
-    return _extrapolate(state, new, bar, lambda ext: _support_fidelity(ext, source, target),
+    return _extrapolate(state, new, bar, lambda ext: _fidelity_at(_apply_factors(ext, basis), tcomp),
                         lambda rows: _fidelity_at(y[rows], tcomp))
 
 
-def _witness_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.ndarray]:
+def _witness_sweep(state: tuple, basis: np.ndarray, span: np.ndarray) -> tuple[tuple, np.ndarray]:
     """One sweep of the witness descent on ``(factors, value, prob, beta)``,
     with the witness ``value`` and success probability ``prob`` at the
     factors: three block steps (:func:`_witness_step`), each handing its
@@ -627,20 +609,20 @@ def _witness_sweep(state: tuple, source: UPB, target: UPB) -> tuple[tuple, np.nd
     the end point's value as the bar."""
     new = state[:3]
     for q in range(3):
-        new = _witness_step(*new, q, source, target)
+        new = _witness_step(*new, q, basis, span)
 
     def score(ext):
-        value, prob = _overlap_objective(ext, source, target)
+        value, prob = _witness_value(_apply_factors(ext, basis), span)
         return np.where(prob >= _FREEZE_PROBABILITY, value, _INVALID), prob
     return _extrapolate(state, new[0], new[1], score, lambda rows: (new[1][rows], new[2][rows]))
 
 
-def _probe_sweep(state: tuple, target: UPB) -> tuple[tuple, np.ndarray]:
-    """One sweep of the boundary probe on per-party qubits and their weight
-    on the target's span: the product-vector search's exact descent
+def _probe_sweep(state: tuple, descent) -> tuple[tuple, np.ndarray]:
+    """One sweep of the boundary probe by ``descent``, the product-vector
+    search's exact descent on the target's span, built once by the caller
     (:func:`~upbkit.product_search._descent_sweep`), with a start live while
     its sweep lowers the weight by more than ``_STALL_GAIN``."""
-    new, _ = _descent_sweep(target.span_basis, (2, 2, 2), finest_partition(3))(state)
+    new, _ = descent(state)
     return new, state[-1] - new[-1] > _STALL_GAIN
 
 
@@ -655,12 +637,15 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     boundary's.
     """
     config = config or GapSearchConfig()
+    basis, span = source.complement_basis, target.span_basis
     rng = np.random.default_rng(config.seed)
-    _, fi, _, _ = _sweeps(_witness_start(_interior_starts(rng, config.restarts), source, target),
-                          max(1, config.budget // 48), lambda s: _witness_sweep(s, source, target))
+    fac = _interior_starts(rng, config.restarts)
+    _, fi, _, _ = _sweeps((fac, *_witness_value(_apply_factors(fac, basis), span), np.ones(len(fac))),
+                          max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span))
     starts = _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2))
+    descent = _descent_sweep(span, (2, 2, 2), finest_partition(3))
     *_, fb = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
-                     lambda s: _probe_sweep(s, target))
+                     lambda s: _probe_sweep(s, descent))
     kind = "boundary" if fi.min() >= fb.min() - ARGMIN_TIE_TOL else "interior"
     return max(float(min(fi.min(), fb.min())), 0.0), kind, fi.tolist(), fb.tolist()
 
@@ -674,9 +659,10 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     output re-scored through :func:`apply_filter`.
     """
     config = config or GapSearchConfig()
-    starts = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
-    fac, fi, _, _ = _sweeps(_ascent_start(starts, source, target), max(1, config.budget // 48),
-                            lambda s: _ascent_sweep(s, source, target))
+    basis, tcomp = source.complement_basis, target.complement_basis
+    fac = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
+    fac, fi, _, _ = _sweeps((fac, *_fidelity_at(_apply_factors(fac, basis), tcomp), np.ones(len(fac))),
+                            max(1, config.budget // 48), lambda s: _ascent_sweep(s, basis, tcomp))
     state, _ = apply_filter(LocalFilter.from_raw(list(fac[int(np.argmin(fi))])), state_of(source))
     return min(max(-float(fi.min()), 0.0), 1.0), state, (-fi).tolist()
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import graphs as graphs_mod
-from .linalg import DensityMatrix, complement_basis, kron_all, orthonormality_error, partial_trace
+from .linalg import DensityMatrix, complement_basis, kron_all, orthonormality_error
 from .product_search import is_extendible
 from .serialize import InputError
 
@@ -219,15 +219,6 @@ def orthogonality_graphs(family) -> tuple["graphs_mod.PartyGraph", ...]:
                     edges.add((i, j))
         out.append(graphs_mod.PartyGraph(n, frozenset(edges)))
     return tuple(out)
-
-
-def normal_form_residual(rho: DensityMatrix) -> float:
-    """Max over parties of the distance of the single-party marginal from I/d."""
-    worst = 0.0
-    for p, d in enumerate(rho.dims):
-        marginal = partial_trace(rho, {p}).matrix
-        worst = max(worst, float(np.abs(marginal - np.eye(d) / d).max()))
-    return worst
 
 
 def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:

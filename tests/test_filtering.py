@@ -27,15 +27,12 @@ from upbkit.filtering import (
     _FREEZE_PROBABILITY,
     _INVALID,
     _apply_factors,
-    _ascent_start,
     _ascent_sweep,
     _block_step,
+    _fidelity_at,
     _interior_starts,
-    _overlap_objective,
     _polar,
     _probe_sweep,
-    _support_fidelity,
-    _witness_start,
     _witness_step,
     _witness_sweep,
     _witness_value,
@@ -79,11 +76,22 @@ FINEST = ((0,), (1,), (2,))
 FAST = GapSearchConfig(restarts=40, budget=2000, seed=11)
 
 
-def product_weight(qubits: np.ndarray, target) -> np.ndarray:
-    """Weight each (n, 3, 2) product state puts on the target's span, as the
-    witness of its one-column image."""
+def product_weight(qubits: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Weight each (n, 3, 2) product state puts on the span of the (8, m)
+    orthonormal ``span``, as the witness of its one-column image."""
     psi = np.array([kron_all(q) for q in qubits])[:, :, None]
-    return _witness_value(psi, target.span_basis)[0]
+    return _witness_value(psi, span)[0]
+
+
+def witness_basis(choice: str, target, rng: np.random.Generator) -> np.ndarray:
+    """The basis ``B`` of a witness ``||B^dag X C||^2 / ||X C||^2``: the
+    target's span or complement basis, or a random orthonormal (8, m) one."""
+    if choice == "span":
+        return target.span_basis
+    if choice == "complement":
+        return target.complement_basis
+    m = int(rng.integers(1, 8))
+    return np.linalg.qr(rng.standard_normal((8, m)) + 1j * rng.standard_normal((8, m)))[0]
 
 
 def surrogate(fac: np.ndarray, unitary: np.ndarray, source, target) -> np.ndarray:
@@ -369,7 +377,7 @@ class TestObjectives:
                 lim = boundary_limit(shifts_class_upb, member, targets, perts, np.eye(3)[party])
                 product = targets.copy()
                 product[party] = perts[party]
-                value = product_weight(product[None], third_class_upb)[0]
+                value = product_weight(product[None], third_class_upb.span_basis)[0]
                 assert abs(value - span_overlap(third_class_upb, lim)) < 1e-12
 
     def test_limits_are_bounded_below_by_their_product_terms(self, shifts_class_upb, third_class_upb):
@@ -390,8 +398,9 @@ class TestObjectives:
         rho = state_of(shifts_class_upb)
         perp = np.eye(8) - third_class_upb.span_projector
         fac = _interior_starts(rng, 6)
-        overlap, prob = _overlap_objective(fac, shifts_class_upb, third_class_upb)
-        neg_fidelity, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        y = _apply_factors(fac, shifts_class_upb.complement_basis)
+        overlap, prob = _witness_value(y, third_class_upb.span_basis)
+        neg_fidelity, _ = _fidelity_at(y, third_class_upb.complement_basis)
         for i in range(len(fac)):
             state, p = apply_filter(LocalFilter.from_raw(list(fac[i])), rho)
             assert p > 1e-14
@@ -412,16 +421,17 @@ class TestFidelityAscent:
         # never exceeds it
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
+        basis, tcomp = source.complement_basis, target.complement_basis
         fac = _interior_starts(np.random.default_rng(seed), 8)
         for _ in range(3):
-            value, unitary = _support_fidelity(fac, source, target)
+            value, unitary = _fidelity_at(_apply_factors(fac, basis), tcomp)
             g = surrogate(fac, unitary, source, target)
             assert np.abs(g + value).max() < 1e-12
             for q in range(3):
                 fac = block_step(fac, q, unitary, source, target)
                 new = surrogate(fac, unitary, source, target)
                 assert (new >= g - 1e-12).all()
-                assert (new <= -_support_fidelity(fac, source, target)[0] + 1e-12).all()
+                assert (new <= -_fidelity_at(_apply_factors(fac, basis), tcomp)[0] + 1e-12).all()
                 g = new
 
     @settings(max_examples=20, deadline=None)
@@ -437,10 +447,12 @@ class TestFidelityAscent:
         # store another point's value or polar factor
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
-        state = _ascent_start(_interior_starts(np.random.default_rng(seed), 12), source, target)
+        basis, tcomp = source.complement_basis, target.complement_basis
+        fac = _interior_starts(np.random.default_rng(seed), 12)
+        state = (fac, *_fidelity_at(_apply_factors(fac, basis), tcomp), np.ones(len(fac)))
         for _ in range(30):
-            new, _ = _ascent_sweep(state, source, target)
-            value, unitary = _support_fidelity(new[0], source, target)
+            new, _ = _ascent_sweep(state, basis, tcomp)
+            value, unitary = _fidelity_at(_apply_factors(new[0], basis), tcomp)
             assert (new[1] <= state[1] + 1e-12).all()  # negative fidelity
             assert np.abs(new[1] - value).max() < 1e-12
             assert np.abs(new[2] - unitary).max() < 1e-12
@@ -473,47 +485,66 @@ class TestFidelityAscent:
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
+        basis, tcomp = shifts_class_upb.complement_basis, third_class_upb.complement_basis
         for _ in range(4):
-            _, fac_unitary = _support_fidelity(fac, shifts_class_upb, third_class_upb)
-            _, batch_unitary = _support_fidelity(batch, shifts_class_upb, third_class_upb)
+            _, fac_unitary = _fidelity_at(_apply_factors(fac, basis), tcomp)
+            _, batch_unitary = _fidelity_at(_apply_factors(batch, basis), tcomp)
             for q in range(3):
                 fac = block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
                 batch = block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
-        values, _ = _support_fidelity(batch, shifts_class_upb, third_class_upb)
+        values, _ = _fidelity_at(_apply_factors(batch, basis), tcomp)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
         assert values[-1] == _INVALID
-        alone, _ = _support_fidelity(fac, shifts_class_upb, third_class_upb)
+        alone, _ = _fidelity_at(_apply_factors(fac, basis), tcomp)
         assert np.abs(batch[:-1] - fac).max() < 1e-15
         assert np.abs(values[:-1] - alone).max() < 1e-15
 
 
 class TestWitnessDescent:
+    @pytest.mark.parametrize("choice", ["span", "complement", "random"])
     @settings(max_examples=20, deadline=None)
     @given(
         angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_steps_never_raise_the_witness(self, angles, seed):
+    def test_block_steps_never_raise_the_witness(self, choice, angles, seed):
+        # the witness step and the product-state step both minimize the
+        # weight on the span of any orthonormal basis B
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
         rng = np.random.default_rng(seed)
+        basis, span = source.complement_basis, witness_basis(choice, target, rng)
+        contracts = _contractions(span, (2, 2, 2), FINEST)
         fac = _interior_starts(rng, 8)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(8)])
-        value, prob = _overlap_objective(fac, source, target)
-        weight = product_weight(qubits, target)
+        value, prob = _witness_value(_apply_factors(fac, basis), span)
+        weight = product_weight(qubits, span)
         for _ in range(3):
             for q in range(3):
-                fac, carried, prob = _witness_step(fac, value, prob, q, source, target)
+                fac, carried, prob = _witness_step(fac, value, prob, q, basis, span)
                 factors = list(np.swapaxes(qubits, 0, 1))
-                factors[q], _ = _product_step(factors, q, _contractions(target.span_basis, (2, 2, 2), FINEST)[q])
+                factors[q], _ = _product_step(factors, q, contracts[q])
                 qubits = np.stack(factors, axis=1)
-                new, new_prob = _overlap_objective(fac, source, target)
-                new_weight = product_weight(qubits, target)
+                new, new_prob = _witness_value(_apply_factors(fac, basis), span)
+                new_weight = product_weight(qubits, span)
                 assert (new <= value + 1e-12).all()
                 assert np.abs(carried - new).max() < 1e-12 and np.abs(prob - new_prob).max() < 1e-15
                 assert (new_weight <= weight + 1e-12).all()
                 value, weight = carried, new_weight
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_span_and_complement_witnesses_sum_to_one(self, angles, seed):
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        y = _apply_factors(_interior_starts(np.random.default_rng(seed), 8), source.complement_basis)
+        inside, _ = _witness_value(y, target.span_basis)
+        outside, _ = _witness_value(y, target.complement_basis)
+        assert np.abs(inside + outside - 1).max() < 1e-12
 
     def _aligned(self, upb, rng):
         # |t0,t1,t2><S_0| annihilates the source state
@@ -522,13 +553,14 @@ class TestWitnessDescent:
     def test_restart_below_the_freeze_probability_is_kept(self, shifts_class_upb, third_class_upb):
         rng = np.random.default_rng(57)
         near = self._aligned(shifts_class_upb, rng) + 1e-4 * _interior_starts(rng, 4)[1:]
-        value, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
+        basis, span = shifts_class_upb.complement_basis, third_class_upb.span_basis
+        value, prob = _witness_value(_apply_factors(near, basis), span)
         assert ((prob > 1e-14) & (prob < _FREEZE_PROBABILITY)).all()
         assert (value < _INVALID).all()
         state = (near.copy(), value, prob)
         for _ in range(3):
             for q in range(3):
-                state = _witness_step(*state, q, shifts_class_upb, third_class_upb)
+                state = _witness_step(*state, q, basis, span)
         assert same_rows(state, (near, value, prob))
 
     def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
@@ -536,18 +568,19 @@ class TestWitnessDescent:
         aligned = self._aligned(shifts_class_upb, rng)
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
-        fac_state = (fac, *_overlap_objective(fac, shifts_class_upb, third_class_upb))
-        batch_state = (batch, *_overlap_objective(batch, shifts_class_upb, third_class_upb))
+        basis, span = shifts_class_upb.complement_basis, third_class_upb.span_basis
+        fac_state = (fac, *_witness_value(_apply_factors(fac, basis), span))
+        batch_state = (batch, *_witness_value(_apply_factors(batch, basis), span))
         for _ in range(4):
             for q in range(3):
-                fac_state = _witness_step(*fac_state, q, shifts_class_upb, third_class_upb)
-                batch_state = _witness_step(*batch_state, q, shifts_class_upb, third_class_upb)
+                fac_state = _witness_step(*fac_state, q, basis, span)
+                batch_state = _witness_step(*batch_state, q, basis, span)
         fac, batch = fac_state[0], batch_state[0]
-        values, _ = _overlap_objective(batch, shifts_class_upb, third_class_upb)
+        values, _ = _witness_value(_apply_factors(batch, basis), span)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
         assert values[-1] == _INVALID
-        alone, _ = _overlap_objective(fac, shifts_class_upb, third_class_upb)
+        alone, _ = _witness_value(_apply_factors(fac, basis), span)
         assert np.abs(batch[:-1] - fac).max() < 1e-15
         assert np.abs(values[:-1] - alone).max() < 1e-15
 
@@ -566,11 +599,13 @@ class TestSweeps:
         rng = np.random.default_rng(seed)
         fac = _interior_starts(rng, restarts)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(restarts)])
+        basis, span, tcomp = source.complement_basis, target.span_basis, target.complement_basis
+        y, beta = _apply_factors(fac, basis), np.ones(restarts)
         pools = [
-            (_witness_start(fac, source, target), budget // 48, lambda s: _witness_sweep(s, source, target)),
-            (_ascent_start(fac, source, target), budget // 48, lambda s: _ascent_sweep(s, source, target)),
+            ((fac, *_witness_value(y, span), beta), budget // 48, lambda s: _witness_sweep(s, basis, span)),
+            ((fac, *_fidelity_at(y, tcomp), beta), budget // 48, lambda s: _ascent_sweep(s, basis, tcomp)),
             ((*np.swapaxes(qubits, 0, 1), np.full(restarts, np.inf)), budget // 12,
-             _descent_sweep(target.span_basis, (2, 2, 2), FINEST)),
+             _descent_sweep(span, (2, 2, 2), FINEST)),
         ]
         for state, sweeps, sweep in pools:
             assert same_rows(_sweeps(state, sweeps, sweep), plain_sweeps(state, sweeps, sweep))
@@ -584,8 +619,9 @@ class TestSweeps:
         batch = np.concatenate([np.array(aligned), _interior_starts(rng, 2)[1:]])
         sizes = []
         monkeypatch.setattr(filtering, "_block_step", recording(_block_step, sizes))
-        state = _ascent_start(batch, shifts_class_upb, third_class_upb)
-        sweep = lambda s: _ascent_sweep(s, shifts_class_upb, third_class_upb)
+        basis, tcomp = shifts_class_upb.complement_basis, third_class_upb.complement_basis
+        state = (batch, *_fidelity_at(_apply_factors(batch, basis), tcomp), np.ones(len(batch)))
+        sweep = lambda s: _ascent_sweep(s, basis, tcomp)
         out = _sweeps(state, 20, sweep)
         assert sizes[:3] == [6, 6, 6] and sizes[3:] == [1] * 57
         assert same_rows(out, plain_sweeps(state, 20, sweep))
@@ -596,12 +632,12 @@ class TestSweeps:
         member = shifts_class_upb.members[0].factors
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
         near = aligned + 3e-5 * _interior_starts(rng, 5)[1:]
-        _, prob = _overlap_objective(near, shifts_class_upb, third_class_upb)
+        basis, span = shifts_class_upb.complement_basis, third_class_upb.span_basis
+        value, prob = _witness_value(_apply_factors(near, basis), span)
         assert ((prob > 1e-10) & (prob < 1e-8)).all()
         sizes = []
         monkeypatch.setattr(filtering, "_witness_step", recording(_witness_step, sizes))
-        out = _sweeps(_witness_start(near, shifts_class_upb, third_class_upb), 100,
-                      lambda s: _witness_sweep(s, shifts_class_upb, third_class_upb))
+        out = _sweeps((near, value, prob, np.ones(len(near))), 100, lambda s: _witness_sweep(s, basis, span))
         assert sizes == [4, 4, 4]
         assert np.array_equal(out[0], near)
 
@@ -624,8 +660,9 @@ class TestBoundaryProbe:
     def test_gain_stop_agrees_with_the_weight_stop(self, angles, seed):
         target = build_canonical(CanonicalAngles(*angles))
         starts = _unit_starts(np.random.default_rng(seed), BOUNDARY_STARTS, (2, 2, 2))
+        descent = _descent_sweep(target.span_basis, (2, 2, 2), FINEST)
         *_, probe = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
-                            lambda s: _probe_sweep(s, target))
+                            lambda s: _probe_sweep(s, descent))
         *_, fixed = _product_descent(target.span_basis, (2, 2, 2), FINEST, starts, 4000)
         assert abs(probe.min() - fixed.min()) < 1e-12
 

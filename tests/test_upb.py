@@ -9,14 +9,13 @@ from conftest import random_state
 from upbkit import (
     UPB,
     CanonicalAngles,
-    DensityMatrix,
     ProductState,
     build_canonical,
     canonicalize,
     equivalent,
     find_product_vectors,
-    normal_form_residual,
     orthogonality_graphs,
+    partial_trace,
     shifts,
     state_of,
     validate,
@@ -85,24 +84,14 @@ class TestStateOf:
             assert np.abs(w - np.array([0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25])).max() < 1e-12
 
     def test_marginals_maximally_mixed(self, third_class_upb):
-        assert normal_form_residual(state_of(third_class_upb)) <= 1e-12
+        rho = state_of(third_class_upb)
+        for p in range(3):
+            assert np.abs(partial_trace(rho, {p}).matrix - np.eye(2) / 2).max() <= 1e-12
 
     def test_members_in_kernel(self, third_class_upb):
         rho = state_of(third_class_upb).matrix
         for m in third_class_upb.members:
             assert abs(m.tensor.conj() @ rho @ m.tensor) < 1e-13
-
-
-class TestNormalFormResidual:
-    def test_pure_product_state(self):
-        v = np.zeros(8, dtype=complex)
-        v[0] = 1
-        rho = DensityMatrix((2, 2, 2), np.outer(v, v.conj()))
-        assert abs(normal_form_residual(rho) - 0.5) < 1e-14
-
-    def test_maximally_mixed(self):
-        rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        assert normal_form_residual(rho) < 1e-15
 
 
 class TestOrthogonalityGraphs:
