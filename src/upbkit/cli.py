@@ -8,7 +8,8 @@ errors.  An input fault is decided where it is raised, as the one
 :class:`~upbkit.serialize.InputError`, and exits 3: bad arguments,
 unreadable or malformed UPB files, bad config values or partitions, a family
 that ``equiv`` or ``certify`` cannot label (not a four-member three-qubit
-UPB, degenerate, or not canonical) and an unwritable ``--out`` path.  Every
+UPB, degenerate, or not canonical), a family that spans the whole space
+in ``state`` or ``search-pv``, and an unwritable ``--out`` path.  Every
 other ``ValueError`` exits 2: members that are not orthonormal, or an
 extendibility verdict within rounding.  ``validate`` gives the
 extendibility verdict itself.

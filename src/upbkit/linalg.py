@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
 DENSITY_HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -91,10 +90,6 @@ class DensityMatrix:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims})"
 
@@ -160,21 +155,6 @@ def partial_transpose(rho, cut: PartitionCut, dims: Sequence[int] | None = None)
     return tensor.transpose(axes).reshape(total, total)
 
 
-def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Returns eigenvalues ascending and orthonormal eigenvector columns with
-    ``V @ diag(w) @ V^dag`` reproducing the input to 1e-10 in max norm.
-    """
-    h = _as_complex_matrix(h, "matrix")
-    if h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    if hermiticity_error(h) > HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return w, v
-
-
 def _clip_spectrum(w: np.ndarray) -> np.ndarray:
     # square roots amplify O(1e-17) zero-mode noise to O(1e-9); a 1e-14 floor
     # keeps reconstruction errors well inside every stated tolerance
@@ -188,36 +168,14 @@ def _sandwich_spectrum(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return _clip_spectrum(np.linalg.eigvalsh((inner + np.swapaxes(inner.conj(), -1, -2)) / 2))
 
 
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clipped to 0."""
-    w, v = eigh(m)
-    if w.min() < EIGENVALUE_FLOOR:
-        raise ValueError(f"eigenvalue {w.min()} below -1e-10: not PSD")
-    w = _clip_spectrum(w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2
-
-
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``tr sqrt(sqrt(rho) sigma sqrt(rho))`` in [0, 1]."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    value = float(np.sqrt(_sandwich_spectrum(psd_sqrt(rho.matrix), sigma.matrix)).sum())
+    w, v = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2)
+    root = (v * np.sqrt(_clip_spectrum(w))) @ v.conj().T
+    value = float(np.sqrt(_sandwich_spectrum((root + root.conj().T) / 2, sigma.matrix)).sum())
     return min(max(value, 0.0), 1.0)
-
-
-def fidelity_projector_form(p_perp, rho: DensityMatrix) -> float:
-    """Fidelity to the normalized rank-4 projector ``p_perp / 4``.
-
-    Evaluates ``(1/2) tr sqrt(P rho P)``, which agrees with
-    ``fidelity(P/4, rho)`` whenever ``P`` is a rank-4 orthogonal projector.
-    """
-    p_perp = _as_complex_matrix(p_perp, "projector")
-    if hermiticity_error(p_perp) > HERMITICITY_TOL:
-        raise ValueError("projector is not Hermitian within 1e-10")
-    if np.abs(p_perp @ p_perp - p_perp).max() > HERMITICITY_TOL:
-        raise ValueError("projector is not idempotent within 1e-10")
-    return float(0.5 * np.sqrt(_sandwich_spectrum(p_perp, rho.matrix)).sum())
 
 
 def complement_basis(vectors) -> np.ndarray:

@@ -80,6 +80,8 @@ class Subspace:
         total = int(np.prod(dims))
         if basis.shape[0] != total:
             raise ValueError(f"basis lives in dimension {basis.shape[0]}, dims give {total}")
+        if basis.shape[1] == 0:
+            raise InputError("subspace is zero-dimensional: there is no product vector to find")
         if not orthonormality_error(basis.T) <= 1e-12:
             raise ValueError("basis columns are not orthonormal within 1e-12")
         basis = basis.copy()
@@ -105,10 +107,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def total_dim(self) -> int:
-        return self.basis.shape[0]
 
     @property
     def perp_basis(self) -> np.ndarray:
@@ -164,11 +162,6 @@ class ProductVectorHit:
     partition: tuple[tuple[int, ...], ...]
     factors: tuple[np.ndarray, ...]
     residual: float
-
-    @property
-    def tensor(self) -> np.ndarray:
-        vecs = [f.reshape(1, -1) for f in self.factors]
-        return _interleave(self.dims, self.partition, vecs)[0]
 
     def overlaps(self, member_factors: Sequence[np.ndarray]) -> tuple[float, ...]:
         """Per-group |<hit factor | member factor>| against per-party factors."""
@@ -304,7 +297,7 @@ def find_product_vectors(
         partition = finest_partition(len(dims))
     partition = normalize_partition(partition, len(dims))
     if subspace.perp_basis.shape[1] == 0:
-        raise ValueError("subspace is the full space; every product vector lies in it")
+        raise InputError("subspace is the full space; every product vector lies in it")
     gdims = _group_dims(dims, partition)
     n_starts = config.grid_resolution ** 2 * sum(d - 1 for d in gdims)
     starts = _unit_starts(np.random.default_rng(config.seed), n_starts, gdims)

@@ -198,7 +198,7 @@ def state_of(upb: UPB) -> DensityMatrix:
     """The bound entangled state: normalized projector onto the span complement."""
     d = upb.total_dim
     if upb.n >= d:
-        raise ValueError("span complement is trivial")
+        raise InputError(f"span complement is trivial: the {upb.n} members span the whole space")
     proj = np.eye(d, dtype=complex) - upb.span_projector
     rho = (proj + proj.conj().T) / (2 * (d - upb.n))
     return DensityMatrix(upb.dims, rho)

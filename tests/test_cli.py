@@ -13,7 +13,7 @@ from upbkit import cli, qutrit
 from upbkit import upb as upb_module
 from upbkit.cli import main
 from upbkit.filtering import EquivalentPairError, GapSearchConfig
-from upbkit.product_search import SearchConfig, normalize_partition
+from upbkit.product_search import SearchConfig, Subspace, normalize_partition
 from upbkit.serialize import InputError, MalformedDocumentError, dumps_report, upb_to_document
 from upbkit.upb import UPB, CanonicalAngles, ProductState, build_canonical, canonicalize, shifts
 
@@ -39,6 +39,16 @@ def shifts_file(tmp_path):
 def partnerless_file(tmp_path):
     path = tmp_path / "partnerless.json"
     path.write_text(dumps_report(upb_to_document(partnerless())))
+    return str(path)
+
+
+@pytest.fixture()
+def full_basis_file(tmp_path):
+    # the eight-member computational basis spans the whole space
+    ket = np.eye(2, dtype=complex)
+    path = tmp_path / "full.json"
+    family = UPB([ProductState([a, b, c]) for a in ket for b in ket for c in ket])
+    path.write_text(dumps_report(upb_to_document(family)))
     return str(path)
 
 
@@ -159,6 +169,13 @@ class TestInputErrors:
         # validate gives the extendibility verdict instead
         assert main(["validate", "--upb", spec]) == 1
 
+    def test_family_spanning_the_space_is_an_input_error(self, full_basis_file, capsys):
+        for argv in (["state"], ["search-pv", "--space", "span"], ["search-pv", "--space", "complement"]):
+            assert main(argv + ["--upb", full_basis_file]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert main(["validate", "--upb", full_basis_file]) == 1
+
     def test_rank_ambiguity_is_numerical_only_in_validate(self):
         # canonicalize rejects the family as degenerate before any rank decision
         assert main(["equiv", "--a", "canonical:1e-9,1,1", "--b", THIRD_CLASS]) == 3
@@ -184,10 +201,11 @@ class TestInputErrors:
         lambda: GapSearchConfig(seed=-1),
         lambda: GapSearchConfig(slack=float("inf")),
         lambda: qutrit.extra_product_vectors(shifts()),
+        lambda: Subspace((2, 2), np.zeros((4, 0))),
     ], ids=[
         "angles", "canonicalize-kind", "canonicalize-boundary", "canonicalize-partner",
         "grid", "tol", "iterations", "search-seed", "partition-cover", "partition-groups",
-        "budget", "gap-seed", "slack", "qutrit-parties",
+        "budget", "gap-seed", "slack", "qutrit-parties", "zero-subspace",
     ])
     def test_library_check_raises_input_error(self, check):
         with pytest.raises(InputError):

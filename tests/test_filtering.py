@@ -37,7 +37,7 @@ from upbkit.filtering import (
     _witness_sweep,
     _witness_value,
 )
-from upbkit.linalg import PartitionCut, _sweeps, fidelity_projector_form, kron_all, partial_transpose
+from upbkit.linalg import PartitionCut, _sweeps, kron_all, partial_transpose
 from upbkit.product_search import (
     SearchConfig,
     Subspace,
@@ -393,20 +393,26 @@ class TestObjectives:
                 lim = boundary_limit(shifts_class_upb, member, targets, perts, rng.uniform(0.0, 1.0, 3))
                 assert span_overlap(third_class_upb, lim) >= min(terms) - 1e-12
 
-    def test_interior_objectives_match_apply_filter(self, shifts_class_upb, third_class_upb):
-        rng = np.random.default_rng(54)
-        rho = state_of(shifts_class_upb)
-        perp = np.eye(8) - third_class_upb.span_projector
-        fac = _interior_starts(rng, 6)
-        y = _apply_factors(fac, shifts_class_upb.complement_basis)
-        overlap, prob = _witness_value(y, third_class_upb.span_basis)
-        neg_fidelity, _ = _fidelity_at(y, third_class_upb.complement_basis)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_interior_objectives_match_apply_filter(self, angles, seed):
+        # the pools' image objectives against the dense references
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        rho, rho_t = state_of(source), state_of(target)
+        fac = _interior_starts(np.random.default_rng(seed), 6)
+        y = _apply_factors(fac, source.complement_basis)
+        overlap, prob = _witness_value(y, target.span_basis)
+        neg_fidelity, _ = _fidelity_at(y, target.complement_basis)
         for i in range(len(fac)):
             state, p = apply_filter(LocalFilter.from_raw(list(fac[i])), rho)
             assert p > 1e-14
             assert abs(prob[i] - p) < 1e-12
-            assert abs(overlap[i] - span_overlap(third_class_upb, state)) < 1e-12
-            assert abs(neg_fidelity[i] + fidelity_projector_form(perp, state)) < 1e-12
+            assert abs(overlap[i] - span_overlap(target, state)) < 1e-12
+            assert abs(neg_fidelity[i] + fidelity(rho_t, state)) < 1e-12
 
 
 class TestFidelityAscent:

@@ -19,6 +19,7 @@ from upbkit.graphs import (
     is_valid_party_graph,
     realize_coloring,
 )
+from upbkit.linalg import kron_all
 from upbkit.product_search import is_extendible
 
 # the two admissible heavy graphs: a five-vertex path and a four-cycle plus
@@ -154,7 +155,7 @@ class TestRealizeColoring:
             members = realize_coloring(coloring, seed=idx * 10)
             ext = is_extendible(members)
             leak = np.sqrt(
-                sum(abs(np.vdot(m.tensor, ext.tensor)) ** 2 for m in members)
+                sum(abs(np.vdot(m.tensor, kron_all(ext.factors))) ** 2 for m in members)
             )
             assert leak <= 1e-9
             for m, label in zip(members, split):

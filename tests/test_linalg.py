@@ -10,12 +10,9 @@ from upbkit import (
     PartitionCut,
     build_canonical,
     complement_basis,
-    eigh,
     fidelity,
-    fidelity_projector_form,
     partial_trace,
     partial_transpose,
-    psd_sqrt,
     shifts,
     state_of,
 )
@@ -125,55 +122,10 @@ class TestPartialTranspose:
 
 
 class TestEigh:
-    def test_identity(self):
-        w, _ = eigh(np.eye(2))
-        assert np.allclose(w, [1, 1])
-
-    def test_pauli_x(self):
-        w, v = eigh(SX)
-        assert np.allclose(w, [-1, 1])
-        minus, plus = v[:, 0], v[:, 1]
-        assert abs(abs(np.vdot(plus, [1, 1] / np.sqrt(2))) - 1) < 1e-12
-        assert abs(abs(np.vdot(minus, [1, -1] / np.sqrt(2))) - 1) < 1e-12
-
     def test_canonical_state_spectrum(self):
         rho = state_of(build_canonical(CanonicalAngles(2.0, 0.4, 1.1)))
-        w, _ = eigh(rho.matrix)
+        w = np.linalg.eigvalsh(rho.matrix)
         assert np.abs(w - np.array([0, 0, 0, 0, 0.25, 0.25, 0.25, 0.25])).max() < 1e-12
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-            h = (g + g.conj().T) / 2
-            w, v = eigh(h)
-            assert np.abs((v * w) @ v.conj().T - h).max() <= 1e-10
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            eigh(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.abs(psd_sqrt(np.eye(3)) - np.eye(3)).max() < 1e-14
-
-    def test_diagonal(self):
-        assert np.abs(psd_sqrt(np.diag([4.0, 0.0])) - np.diag([2.0, 0.0])).max() < 1e-14
-
-    def test_projector_algebra(self):
-        rho = state_of(build_canonical(CanonicalAngles(1.3, 1.9, 0.6)))
-        assert np.abs(psd_sqrt(rho.matrix) - 2 * rho.matrix).max() < 1e-12
-
-    def test_square_reconstructs(self):
-        rng = np.random.default_rng(6)
-        m = random_density_matrix(rng, (2, 2)).matrix
-        root = psd_sqrt(m)
-        assert np.abs(root @ root - m).max() < 1e-9
-
-    def test_true_negative_rejected(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -1e-6]))
 
 
 class TestFidelity:
@@ -193,15 +145,6 @@ class TestFidelity:
             b = random_density_matrix(rng, (2, 2))
             assert abs(fidelity(a, b) - fidelity(b, a)) < 1e-9
 
-    def test_agrees_with_projector_form(self, shifts_class_upb, third_class_upb):
-        rho_s = state_of(shifts_class_upb)
-        rho_t = state_of(third_class_upb)
-        p_perp = np.eye(8) - third_class_upb.span_projector
-        f1 = fidelity(rho_t, rho_s)
-        f2 = fidelity_projector_form(p_perp, rho_s)
-        assert 0 < f1 < 1
-        assert abs(f1 - f2) < 1e-9
-
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError):
@@ -209,34 +152,19 @@ class TestFidelity:
 
 
 class TestFidelityProjectorForm:
+    # fidelity to rho_T = P/4 is the closed form (1/2) tr sqrt(P rho P)
     def test_target_itself(self, third_class_upb):
         rho_t = state_of(third_class_upb)
-        p_perp = np.eye(8) - third_class_upb.span_projector
-        assert abs(fidelity_projector_form(p_perp, rho_t) - 1) < 1e-12
+        assert abs(fidelity(rho_t, rho_t) - 1) < 1e-12
 
     def test_state_on_span(self, third_class_upb):
-        p_perp = np.eye(8) - third_class_upb.span_projector
         member = third_class_upb.members[0].tensor
         rho = DensityMatrix((2, 2, 2), np.outer(member, member.conj()))
-        assert fidelity_projector_form(p_perp, rho) < 1e-9
+        assert fidelity(state_of(third_class_upb), rho) < 1e-9
 
     def test_maximally_mixed(self, third_class_upb):
-        p_perp = np.eye(8) - third_class_upb.span_projector
         rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        assert abs(fidelity_projector_form(p_perp, rho) - np.sqrt(2) / 2) < 1e-12
-
-    def test_agreement_on_random_states(self, third_class_upb):
-        rng = np.random.default_rng(10)
-        rho_t = state_of(third_class_upb)
-        p_perp = np.eye(8) - third_class_upb.span_projector
-        for _ in range(50):
-            rho = random_density_matrix(rng, (2, 2, 2))
-            assert abs(fidelity_projector_form(p_perp, rho) - fidelity(rho_t, rho)) < 1e-9
-
-    def test_non_projector_rejected(self):
-        rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
-        with pytest.raises(ValueError):
-            fidelity_projector_form(np.eye(8) * 0.5, rho)
+        assert abs(fidelity(state_of(third_class_upb), rho) - np.sqrt(2) / 2) < 1e-12
 
 
 class TestComplementBasis:

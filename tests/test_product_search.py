@@ -433,11 +433,16 @@ class TestConfigAndTypes:
         # a hit on the middle-party cut must reassemble in ambient order
         sub = span_subspace(third_class_upb)
         hits = find_product_vectors(sub, [(1,), (0, 2)])
+        assert len(hits) == 4
         for h in hits:
             member = next(
                 m for m in third_class_upb.members if h.matches(m.factors, 1e-6)
             )
-            assert abs(abs(np.vdot(h.tensor, member.tensor)) - 1) < 1e-8
+            assert h.partition == ((0, 2), (1,))
+            ac, b = h.factors
+            tensor = np.einsum("b,ac->abc", b, ac.reshape(2, 2)).reshape(-1)
+            assert abs(abs(np.vdot(tensor, member.tensor)) - 1) < 1e-8
+            assert residual(h.factors, sub, h.partition) < 1e-8
 
     def test_orthonormalized_constructor(self):
         rng = np.random.default_rng(34)
