@@ -19,7 +19,9 @@ any orthonormal ``S``) and fidelity ``||Z||_* / (sqrt(r) ||X C||_F)`` with
   a 4x4 eigenvector (:func:`_witness_step`).  Its descent can run to the
   orbit boundary, where the output is rounding noise, so no step goes below
   success probability ``_FREEZE_PROBABILITY`` and a restart below it keeps
-  its factors; the boundary probe bounds what it would reach.
+  its factors; the boundary probe bounds what it would reach.  Most
+  restarts instead collapse within a few sweeps onto a rank-one filter
+  ``|v><u|`` above that probability, and the probe finishes those.
 - The fidelity ascent holds the polar factor ``U`` of ``Z`` at the sweep's
   start (:func:`_polar`) and maximizes the surrogate ``s = Re tr(U Z) /
   (sqrt(r) ||X C||_F)`` in closed form (:func:`_block_step`).  ``s`` equals
@@ -42,10 +44,24 @@ product state reaches.  The probe runs ``BOUNDARY_STARTS`` starts of up to
 descent on ``S``, built once (:func:`_probe_sweep`); each start's optimum is
 the weight it scored.
 
+The same descent finishes the witness restarts that collapse.  A filter
+``|v><u|`` with ``<u|rho_S|u> > 0`` outputs the product state ``|v>``, and
+with two factors rank one every output is ``xi (x) |v_r v_s><v_r v_s|``, so
+the exact witness step for the third party is the least eigenvector of the
+2x2 contraction of ``S S^dag`` with ``v_r v_s``: the probe's closed-form
+qubit step.  Rank one is invariant under that step, so on it the two
+descents are one algorithm.  A witness restart leaves its pool once all
+three factors are rank one at a probability of at least
+``_FREEZE_PROBABILITY`` (:func:`_collapsed`); its output factors
+(:func:`_output_states`) join the probe's starts in one batch, from its
+witness value.  Its interior optimum is the weight that descent ends at,
+reached by ``|v><u|`` with ``u`` and so the probability unchanged.
+
 *One stop.*  :func:`upbkit.linalg._sweeps` runs all three pools, and a
 restart leaves the batch once a sweep improves its value by at most
 ``_STALL_GAIN`` (1e-14).  The rows equal those of sweeping every restart to
-its cap with the same stop.
+its cap with the same stop; the probe's starts end as they would without
+the handed-off restarts beside them.
 """
 
 from __future__ import annotations
@@ -70,6 +86,8 @@ _INVALID = 2.0  # objective placeholder outside [0, 1]
 _FREEZE_PROBABILITY = 1e-6
 # an interior restart whose sweep gains at most this much stops
 _STALL_GAIN = 1e-14
+# a filter factor ``A`` with ``|det A| <= _RANK_ONE_TOL ||A||_F^2`` is rank one
+_RANK_ONE_TOL = 1e-12
 # the extrapolation factor of the interior pools grows by this on success
 _BETA_GROWTH = 3.0
 BOUNDARY_STARTS = 64  # product-state starts of the boundary probe
@@ -606,12 +624,32 @@ def _ascent_sweep(state: tuple, basis: np.ndarray, tcomp: np.ndarray) -> tuple[t
                         lambda rows: _fidelity_at(y[rows], tcomp))
 
 
+def _collapsed(fac: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """Restarts whose three factors are all rank one at a success
+    probability of at least ``_FREEZE_PROBABILITY``: filters ``|v><u|`` that
+    output the product state ``|v>``."""
+    det = np.abs(fac[..., 0, 0] * fac[..., 1, 1] - fac[..., 0, 1] * fac[..., 1, 0])
+    norm2 = (fac.real ** 2 + fac.imag ** 2).sum(axis=(-2, -1))
+    return (det <= _RANK_ONE_TOL * norm2).all(axis=1) & (prob >= _FREEZE_PROBABILITY)
+
+
+def _output_states(fac: np.ndarray) -> list[np.ndarray]:
+    """Per party, the (n, 2) unit output state ``v`` of rank-one (n, 3, 2, 2)
+    factors ``A ~ |v><u|``: the longer column of ``A``, normalized."""
+    cols = np.swapaxes(fac, -1, -2)
+    norm2 = (cols.real ** 2 + cols.imag ** 2).sum(axis=-1)
+    longer = np.take_along_axis(cols, norm2.argmax(axis=-1)[..., None, None], axis=-2)[..., 0, :]
+    out = longer / np.sqrt(norm2.max(axis=-1))[..., None]
+    return [out[:, q] for q in range(3)]
+
+
 def _witness_sweep(state: tuple, basis: np.ndarray, span: np.ndarray) -> tuple[tuple, np.ndarray]:
     """One sweep of the witness descent on ``(factors, value, prob, beta)``,
     with the witness ``value`` and success probability ``prob`` at the
     factors: three block steps (:func:`_witness_step`), each handing its
     scores to the next, then the extrapolation (:func:`_extrapolate`) with
-    the end point's value as the bar."""
+    the end point's value as the bar.  A restart the sweep leaves
+    :func:`_collapsed` stops; the boundary probe finishes it."""
     new = state[:3]
     for q in range(3):
         new = _witness_step(*new, q, basis, span)
@@ -619,7 +657,8 @@ def _witness_sweep(state: tuple, basis: np.ndarray, span: np.ndarray) -> tuple[t
     def score(ext):
         value, prob = _witness_value(_apply_factors(ext, basis), span)
         return np.where(prob >= _FREEZE_PROBABILITY, value, _INVALID), prob
-    return _extrapolate(state, new[0], new[1], score, lambda rows: (new[1][rows], new[2][rows]))
+    state, moving = _extrapolate(state, new[0], new[1], score, lambda rows: (new[1][rows], new[2][rows]))
+    return state, moving & ~_collapsed(state[0], state[2])
 
 
 def _probe_sweep(state: tuple, descent) -> tuple[tuple, np.ndarray]:
@@ -635,22 +674,28 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     """Empirical minimum of the witness functional over the filtering orbit
     of ``source`` and its boundary.
 
-    Runs the interior pool (:func:`_witness_sweep`) and the boundary probe
-    (:func:`_probe_sweep`).  Returns ``(delta, argmin_kind,
-    interior_optima, boundary_optima)``, the kind ``"interior"`` only when
-    the interior minimum lies more than ``ARGMIN_TIE_TOL`` below the
+    Runs the interior pool (:func:`_witness_sweep`), then the boundary
+    probe (:func:`_probe_sweep`) on its random starts and, in the same
+    batch, on the product states of the witness restarts that collapsed to
+    rank-one filters.  Returns ``(delta, argmin_kind, interior_optima,
+    boundary_optima)``: a collapsed restart's interior optimum is the weight
+    its descent ends at, and the kind is ``"interior"`` only when the
+    interior minimum lies more than ``ARGMIN_TIE_TOL`` below the
     boundary's.
     """
     config = config or GapSearchConfig()
     basis, span = source.complement_basis, target.span_basis
     rng = np.random.default_rng(config.seed)
     fac = _interior_starts(rng, config.restarts)
-    _, fi, _, _ = _sweeps((fac, *_witness_value(_apply_factors(fac, basis), span), np.ones(len(fac))),
-                          max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span))
+    fac, fi, prob, _ = _sweeps((fac, *_witness_value(_apply_factors(fac, basis), span), np.ones(len(fac))),
+                               max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span))
+    done = _collapsed(fac, prob)
     starts = _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2))
+    starts = [np.concatenate([s, v]) for s, v in zip(starts, _output_states(fac[done]))]
     descent = _descent_sweep(span, (2, 2, 2), finest_partition(3))
-    *_, fb = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
-                     lambda s: _probe_sweep(s, descent))
+    *_, weight = _sweeps((*starts, np.concatenate([np.full(BOUNDARY_STARTS, np.inf), fi[done]])),
+                         BOUNDARY_BUDGET // 12, lambda s: _probe_sweep(s, descent))
+    fb, fi[done] = weight[:BOUNDARY_STARTS], weight[BOUNDARY_STARTS:]
     kind = "boundary" if fi.min() >= fb.min() - ARGMIN_TIE_TOL else "interior"
     return max(float(min(fi.min(), fb.min())), 0.0), kind, fi.tolist(), fb.tolist()
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,8 +30,10 @@ from upbkit.filtering import (
     _apply_factors,
     _ascent_sweep,
     _block_step,
+    _collapsed,
     _fidelity_at,
     _interior_starts,
+    _output_states,
     _polar,
     _probe_sweep,
     _witness_step,
@@ -56,6 +59,9 @@ DELTA_REFERENCE = 0.0275559
 FIDELITY_REFERENCE = 0.9812328
 # smallest weight a product state puts on the (pi/3)^3 span
 PRODUCT_MINIMUM = 0.027555901447727
+# the same, pmin((pi/3)^3), to 30 digits: a critical point of the weight on
+# the torus of real qubit states, polished with mpmath at 60 digits
+PRODUCT_MINIMUM_DIGITS = "0.0275559014477268871719631889097"
 
 # default_rng(77) pair 33: its witness infimum is an interior minimum below
 # the product-state minimum, which few restarts reach
@@ -591,6 +597,70 @@ class TestWitnessDescent:
         assert np.abs(values[:-1] - alone).max() < 1e-15
 
 
+class TestRankOneHandOff:
+    """A witness restart whose factors collapse to a rank-one filter ``|v><u|``
+    finishes on the boundary probe's product-state descent."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        angles=st.lists(st.floats(0.1, np.pi - 0.1), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_witness_step_on_a_rank_one_filter_is_the_product_step(self, angles, seed):
+        # |v><u| outputs |v>, so with two factors rank one every output is
+        # xi (x) |v_r v_s><v_r v_s|, and the least witness over party q's
+        # factor is the least weight of a product state with those two factors
+        source = build_canonical(CanonicalAngles(*angles[:3]))
+        target = build_canonical(CanonicalAngles(*angles[3:]))
+        rng = np.random.default_rng(seed)
+        basis, span = source.complement_basis, target.span_basis
+        fac = np.array([[np.outer(random_state(rng), random_state(rng).conj()) for _ in range(3)]
+                        for _ in range(16)])
+        _, prob = _witness_value(_apply_factors(fac, basis), span)
+        fac, prob = fac[prob >= _FREEZE_PROBABILITY], prob[prob >= _FREEZE_PROBABILITY]
+        assert len(fac) and _collapsed(fac, prob).all()
+        qubits = _output_states(fac)
+        contracts = _contractions(span, (2, 2, 2), FINEST)
+        for q in range(3):
+            _, least, _ = _witness_step(fac, np.full(len(fac), _INVALID), prob, q, basis, span)
+            _, weight = _product_step(qubits, q, contracts[q])
+            assert np.abs(least - weight).max() < 1e-12
+
+    def test_probe_rows_are_unchanged_and_collapsed_restarts_are_finished(
+        self, shifts_class_upb, third_class_upb, monkeypatch
+    ):
+        calls = []
+
+        def record(state, sweeps, sweep):
+            out = _sweeps(state, sweeps, sweep)
+            calls.append((state, tuple(a.copy() for a in out)))
+            return out
+        monkeypatch.setattr(filtering, "_sweeps", record)
+        _, _, interior, boundary = minimize_span_overlap(shifts_class_upb, third_class_upb, FAST)
+        (_, pool), (joint, out) = calls
+        done = _collapsed(pool[0], pool[2])
+        assert done.sum() >= FAST.restarts // 2
+        # the hand-off starts from the witness value, and its rows follow the
+        # probe's 64 random starts, which end as they do alone
+        assert np.array_equal(joint[-1][BOUNDARY_STARTS:], pool[1][done])
+        descent = _descent_sweep(third_class_upb.span_basis, (2, 2, 2), FINEST)
+        *_, alone = _sweeps(tuple(a[:BOUNDARY_STARTS] for a in joint), BOUNDARY_BUDGET // 12,
+                            lambda s: _probe_sweep(s, descent))
+        assert alone.tolist() == boundary
+        finished = tuple(a[BOUNDARY_STARTS:] for a in out)
+        assert finished[-1].tolist() == np.array(interior)[done].tolist()
+        more, _ = descent(finished)
+        assert (finished[-1] - more[-1] <= 1e-14).all()
+
+    def test_collapsed_restarts_leave_the_witness_pool(self, shifts_class_upb, third_class_upb, monkeypatch):
+        # run to the gain stop in the witness pool, these restarts take 2942
+        # restart-sweeps; leaving it once collapsed, 966
+        sizes = []
+        monkeypatch.setattr(filtering, "_witness_sweep", recording(_witness_sweep, sizes))
+        minimize_span_overlap(shifts_class_upb, third_class_upb, GapSearchConfig(seed=3))
+        assert sum(sizes) <= 1500
+
+
 class TestSweeps:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -791,6 +861,14 @@ class TestCertify:
         source, target = (build_canonical(CanonicalAngles(*a)) for a in pair)
         cert = certify_gap(source, target, GapSearchConfig(seed=seed))
         assert abs(cert.fidelity_max ** 2 + cert.span_overlap_at_argmax - 1) < 1e-14
+
+    @pytest.mark.parametrize("seed", [3, 7, 101])
+    def test_reference_delta_is_the_product_minimum(self, shifts_class_upb, third_class_upb, seed):
+        # at the reference pair the argmin is the boundary, where delta is
+        # pmin((pi/3)^3); measured within 1e-16 at these seeds
+        cert = certify_gap(shifts_class_upb, third_class_upb, GapSearchConfig(seed=seed))
+        assert cert.argmin_kind == "boundary"
+        assert abs(Fraction(cert.delta_min) - Fraction(PRODUCT_MINIMUM_DIGITS)) <= 1e-15
 
     def test_nearby_pair_has_smaller_gap(self, shifts_class_upb, third_class_upb):
         near = build_canonical(CanonicalAngles(np.pi / 2 + 0.01, np.pi / 2, np.pi / 2))
