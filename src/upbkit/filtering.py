@@ -12,8 +12,9 @@ source's complement ``C`` and the target's span ``S`` and complement ``T``,
 with ``rho_S = C C^dag / k`` and ``rho_T = T T^dag / r``.  A filter ``X =
 A_0 (x) A_1 (x) A_2`` has witness ``||S^dag X C||_F^2 / ||X C||_F^2`` (for
 any orthonormal ``S``) and fidelity ``||Z||_* / (sqrt(r) ||X C||_F)`` with
-``Z = T^dag X C``; no 8x8 operator is formed.  A restart runs up to ``budget
-// 48`` sweeps of three exact steps, one 2x2 factor each:
+``Z = T^dag X C``; no 8x8 operator is formed, and the operands that depend
+only on ``S`` or ``T`` are built once per pool call.  A restart runs up to
+``budget // 48`` sweeps of three exact steps, one 2x2 factor each:
 
 - The witness is a ratio of two Hermitian forms in one factor, minimized by
   a 4x4 eigenvector (:func:`_witness_step`).  Its descent can run to the
@@ -425,8 +426,8 @@ def _unit_spectral(fac: np.ndarray) -> np.ndarray:
     :meth:`LocalFilter.from_raw` before its dense re-score."""
     tr = (fac.real ** 2 + fac.imag ** 2).sum(axis=(-2, -1))
     det = np.abs(fac[..., 0, 0] * fac[..., 1, 1] - fac[..., 0, 1] * fac[..., 1, 0]) ** 2
-    disc = np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))
-    top = np.sqrt(np.clip((tr + disc) / 2, 1e-300, None))
+    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
+    top = np.sqrt(np.maximum((tr + disc) / 2, 1e-300))
     return fac / top[..., None, None]
 
 
@@ -443,8 +444,9 @@ def _apply_party(f: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
     """(n, 2, 2) factors applied to party ``q`` of an (n or 1, 8, k) array."""
     t = m.reshape(m.shape[0], 2 ** q, 2, -1)
     f = f[:, :, :, None, None]
-    return np.stack([f[:, 0, 0] * t[:, :, 0] + f[:, 0, 1] * t[:, :, 1],
-                     f[:, 1, 0] * t[:, :, 0] + f[:, 1, 1] * t[:, :, 1]], axis=2).reshape(len(f), 8, -1)
+    out = np.empty((len(f), 2 ** q, 2, t.shape[-1]), dtype=complex)
+    out[:, :, 0], out[:, :, 1] = (f[:, i, 0] * t[:, :, 0] + f[:, i, 1] * t[:, :, 1] for i in (0, 1))
+    return out.reshape(len(f), 8, -1)
 
 
 def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) -> np.ndarray:
@@ -460,7 +462,8 @@ def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) 
 
 def _party_first(m: np.ndarray, q: int) -> np.ndarray:
     """(n, 8, k) -> (n, 2, 4k), with party ``q``'s index first."""
-    return np.moveaxis(m.reshape(m.shape[0], 2, 2, 2, -1), q + 1, 1).reshape(m.shape[0], 2, -1)
+    axes = ((0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 3, 1, 2, 4))[q]
+    return m.reshape(m.shape[0], 2, 2, 2, -1).transpose(axes).reshape(m.shape[0], 2, -1)
 
 
 def _party_gram(partial: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
@@ -469,10 +472,10 @@ def _party_gram(partial: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
     Gram's determinant, and whether its condition number ``top^2 / det`` is
     at most 1e12."""
     w = _party_first(partial, q)
-    gram = w @ np.swapaxes(w.conj(), 1, 2)
+    gram = w @ w.conj().transpose(0, 2, 1)
     tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
     det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
-    top = (tr + np.sqrt(np.clip(tr * tr - 4 * det, 0.0, None))) / 2
+    top = (tr + np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2
     return w, gram, det, det > 1e-12 * top * top
 
 
@@ -492,10 +495,17 @@ def _witness_value(y: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.where(valid, value, _INVALID), norm2 / y.shape[-1]
 
 
-def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, basis: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, ...]:
+def _party_span(span: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``S`` with party ``q``'s index first, rows (a, rest), and the lift of its conjugate."""
+    rows = _party_first(span[None], q).reshape(8, -1)
+    return rows, rows.conj().reshape(2, 4, -1).transpose(0, 2, 1).reshape(-1, 4)
+
+
+def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, partial: np.ndarray,
+                  rows: np.ndarray, lifted: np.ndarray) -> tuple[np.ndarray, ...]:
     """Minimize the witness ``||S^dag X C||_F^2 / ||X C||_F^2`` exactly over
-    party ``q``'s factor, for the (8, k) ``basis`` ``C`` and any (8, m)
-    ``span`` ``S`` with orthonormal columns.
+    party ``q``'s factor, given ``C``'s image ``partial`` under the other two
+    and ``(rows, lifted) = _party_span(S, q)``, ``S`` with orthonormal columns.
 
     With ``L`` the Cholesky factor of ``W W^dag`` (:func:`_party_gram`),
     ``L^-1 W`` has orthonormal rows, so for ``A = Z L^-1`` the witness is a
@@ -506,21 +516,19 @@ def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, 
     Gram is worse conditioned than 1e12 keep their factor.  Returns the
     factors with their witness value and probability.
     """
-    n, k = fac.shape[0], basis.shape[1]
-    w, gram, det, ok = _party_gram(_apply_factors(fac, basis, skip=q), q)
-    span = _party_first(span[None], q).reshape(8, -1)  # rows (a, rest)
+    n, k = fac.shape[0], partial.shape[-1]
+    w, gram, det, ok = _party_gram(partial, q)
     live = ok & (prob >= _FREEZE_PROBABILITY)
     g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
     l11 = np.sqrt(np.where(live, det, 1.0) / g00)
     chol_inv = np.zeros((n, 2, 2), dtype=complex)
     chol_inv[:, 0, 0], chol_inv[:, 1, 0], chol_inv[:, 1, 1] = 1 / np.sqrt(g00), -gram[:, 1, 0] / (g00 * l11), 1 / l11
     white = (chol_inv @ w).reshape(n, 2, 4, k)  # [n, b, rest, column]
-    # numerator ||R vec(Z)||^2 with R[n, (j, col), (a, b)] = sum_rest conj(S[(a, rest), j]) white[n, b, rest, col]
-    lifted = span.conj().reshape(2, 4, -1).transpose(0, 2, 1).reshape(-1, 4)
+    # numerator ||R vec(Z)||^2 with R[n, (j, col), (a, b)] = sum_rest conj(rows[(a, rest), j]) white[n, b, rest, col]
     response = (lifted @ white).reshape(n, 2, 2, -1, k).transpose(0, 3, 4, 2, 1).reshape(n, -1, 4)
-    _, vecs = np.linalg.eigh(np.swapaxes(response.conj(), 1, 2) @ response)
+    _, vecs = np.linalg.eigh(response.conj().transpose(0, 2, 1) @ response)
     trial = _unit_spectral(vecs[:, :, 0].reshape(n, 2, 2) @ chol_inv)
-    trial_value, trial_prob = _witness_value((trial @ w).reshape(n, 8, k), span)
+    trial_value, trial_prob = _witness_value((trial @ w).reshape(n, 8, k), rows)
     accept = live & (trial_value <= value) & (trial_prob >= _FREEZE_PROBABILITY)
     out = fac.copy()
     out[accept, q] = trial[accept]
@@ -538,18 +546,18 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     which ``Z v`` keeps at rounding size.  The nuclear norm is scored as
     ``Re tr(U Z)``, not as ``sum sqrt(lam)``, which such eigenvalues spoil.
     """
-    lam, vecs = np.linalg.eigh(np.swapaxes(z.conj(), 1, 2) @ z)
+    lam, vecs = np.linalg.eigh(z.conj().transpose(0, 2, 1) @ z)
     keep = lam > 1e-24 * lam[:, -1:]
     inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
-    unitary = vecs @ (inv_root[:, :, None] * np.swapaxes((z @ vecs).conj(), 1, 2))
-    return (unitary * np.swapaxes(z, 1, 2)).sum(axis=(1, 2)).real, unitary
+    unitary = vecs @ (inv_root[:, :, None] * (z @ vecs).conj().transpose(0, 2, 1))
+    return (unitary * z.transpose(0, 2, 1)).sum(axis=(1, 2)).real, unitary
 
 
-def _fidelity_at(y: np.ndarray, tcomp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fidelity_at(y: np.ndarray, tdag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negative fidelity of each (n, 8, k) image ``Y = X C`` to the state of
-    the (8, r) ``tcomp`` ``T``, and the polar factor ``U`` of ``T^dag Y``."""
-    nuclear, unitary = _polar(tcomp.conj().T @ y)
-    return _scaled_fidelity(nuclear, y, tcomp.shape[1]), unitary
+    ``T``, and the polar factor ``U`` of ``T^dag Y``, for ``tdag = T^dag``."""
+    nuclear, unitary = _polar(tdag @ y)
+    return _scaled_fidelity(nuclear, y, tdag.shape[0]), unitary
 
 
 def _scaled_fidelity(trace: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
@@ -572,9 +580,9 @@ def _block_step(fac: np.ndarray, q: int, partial: np.ndarray, tu: np.ndarray) ->
     zero, keep their factor.
     """
     w, gram, _, ok = _party_gram(partial, q)
-    c = _party_first(tu, q) @ np.swapaxes(w, 1, 2)
-    # G^-1 is the adjugate over det > 0
-    adjugate = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0], gram[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    c = _party_first(tu, q) @ w.transpose(0, 2, 1)
+    adjugate = -gram  # G^-1 is the adjugate over det > 0
+    adjugate[:, 0, 0], adjugate[:, 1, 1] = gram[:, 1, 1], gram[:, 0, 0]
     step = _unit_spectral(c.conj() @ adjugate)
     ok &= np.abs(step).max(axis=(1, 2)) > 0
     out = fac.copy()
@@ -598,30 +606,31 @@ def _extrapolate(state: tuple, new: np.ndarray, bar: np.ndarray, score, rescore)
     ext = _unit_spectral(new + beta[:, None, None, None] * (new - old))
     ext_value, ext_aux = score(ext)
     keep = ~((ext_value <= bar) & (ext_value < _INVALID))
-    ext[keep] = new[keep]
-    ext_value[keep], ext_aux[keep] = rescore(keep)
+    if keep.any():
+        ext[keep] = new[keep]
+        ext_value[keep], ext_aux[keep] = rescore(keep)
     return (ext, ext_value, ext_aux, np.where(keep, 1.0, beta * _BETA_GROWTH)), value - ext_value > _STALL_GAIN
 
 
-def _ascent_sweep(state: tuple, basis: np.ndarray, tcomp: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _ascent_sweep(state: tuple, basis: np.ndarray, tdag: np.ndarray) -> tuple[tuple, np.ndarray]:
     """One sweep of the fidelity ascent on ``(factors, value, U, beta)``,
     with ``value`` the negative fidelity and ``U`` the polar factor at the
     factors: three block steps (:func:`_block_step`) under that one ``U``,
     then the extrapolation (:func:`_extrapolate`) with the surrogate at the
     end point as the bar: ``f(old) <= s(new) <= f(new)``.  The steps share
     party 0's image of ``C``, and the end point's image ``Y`` is party 2
-    applied to the last step's."""
+    applied to the last step's.  ``tdag`` is ``T^dag``."""
     old, _, unitary, _ = state
-    tu = tcomp.conj() @ np.swapaxes(unitary, 1, 2)
+    tu = tdag.T @ unitary.transpose(0, 2, 1)
     new = _block_step(old, 0, _apply_factors(old, basis, skip=0), tu)
     head = _apply_party(new[:, 0], basis[None], 0)
     new = _block_step(new, 1, _apply_party(new[:, 2], head, 2), tu)
     partial = _apply_party(new[:, 1], head, 1)
     new = _block_step(new, 2, partial, tu)
     y = _apply_party(new[:, 2], partial, 2)
-    bar = _scaled_fidelity((tu * y).sum(axis=(1, 2)).real, y, tcomp.shape[1])
-    return _extrapolate(state, new, bar, lambda ext: _fidelity_at(_apply_factors(ext, basis), tcomp),
-                        lambda rows: _fidelity_at(y[rows], tcomp))
+    bar = _scaled_fidelity((tu * y).sum(axis=(1, 2)).real, y, tdag.shape[0])
+    return _extrapolate(state, new, bar, lambda ext: _fidelity_at(_apply_factors(ext, basis), tdag),
+                        lambda rows: _fidelity_at(y[rows], tdag))
 
 
 def _collapsed(fac: np.ndarray, prob: np.ndarray) -> np.ndarray:
@@ -643,16 +652,18 @@ def _output_states(fac: np.ndarray) -> list[np.ndarray]:
     return [out[:, q] for q in range(3)]
 
 
-def _witness_sweep(state: tuple, basis: np.ndarray, span: np.ndarray) -> tuple[tuple, np.ndarray]:
+def _witness_sweep(state: tuple, basis: np.ndarray, span: np.ndarray, parties: list) -> tuple[tuple, np.ndarray]:
     """One sweep of the witness descent on ``(factors, value, prob, beta)``,
     with the witness ``value`` and success probability ``prob`` at the
-    factors: three block steps (:func:`_witness_step`), each handing its
-    scores to the next, then the extrapolation (:func:`_extrapolate`) with
-    the end point's value as the bar.  A restart the sweep leaves
+    factors: three block steps (:func:`_witness_step`) on ``parties[q] =
+    _party_span(span, q)`` that share party 0's image of ``C`` and hand on
+    their scores, then the extrapolation (:func:`_extrapolate`) with the end
+    point's value as the bar.  A restart the sweep leaves
     :func:`_collapsed` stops; the boundary probe finishes it."""
-    new = state[:3]
-    for q in range(3):
-        new = _witness_step(*new, q, basis, span)
+    new = _witness_step(*state[:3], 0, _apply_factors(state[0], basis, skip=0), *parties[0])
+    head = _apply_party(new[0][:, 0], basis[None], 0)
+    new = _witness_step(*new, 1, _apply_party(new[0][:, 2], head, 2), *parties[1])
+    new = _witness_step(*new, 2, _apply_party(new[0][:, 1], head, 1), *parties[2])
 
     def score(ext):
         value, prob = _witness_value(_apply_factors(ext, basis), span)
@@ -687,8 +698,9 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     basis, span = source.complement_basis, target.span_basis
     rng = np.random.default_rng(config.seed)
     fac = _interior_starts(rng, config.restarts)
+    parties = [_party_span(span, q) for q in range(3)]
     fac, fi, prob, _ = _sweeps((fac, *_witness_value(_apply_factors(fac, basis), span), np.ones(len(fac))),
-                               max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span))
+                               max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span, parties))
     done = _collapsed(fac, prob)
     starts = _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2))
     starts = [np.concatenate([s, v]) for s, v in zip(starts, _output_states(fac[done]))]
@@ -709,10 +721,10 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     output re-scored through :func:`apply_filter`.
     """
     config = config or GapSearchConfig()
-    basis, tcomp = source.complement_basis, target.complement_basis
+    basis, tdag = source.complement_basis, target.complement_basis.conj().T
     fac = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
-    fac, fi, _, _ = _sweeps((fac, *_fidelity_at(_apply_factors(fac, basis), tcomp), np.ones(len(fac))),
-                            max(1, config.budget // 48), lambda s: _ascent_sweep(s, basis, tcomp))
+    fac, fi, _, _ = _sweeps((fac, *_fidelity_at(_apply_factors(fac, basis), tdag), np.ones(len(fac))),
+                            max(1, config.budget // 48), lambda s: _ascent_sweep(s, basis, tdag))
     state, _ = apply_filter(LocalFilter.from_raw(list(fac[int(np.argmin(fi))])), state_of(source))
     return min(max(-float(fi.min()), 0.0), 1.0), state, (-fi).tolist()
 

@@ -34,8 +34,11 @@ from upbkit.filtering import (
     _fidelity_at,
     _interior_starts,
     _output_states,
+    _party_first,
+    _party_span,
     _polar,
     _probe_sweep,
+    _unit_spectral,
     _witness_step,
     _witness_sweep,
     _witness_value,
@@ -370,6 +373,46 @@ class TestBoundaryLimit:
         assert span_overlap(third_class_upb, lim) > 0
 
 
+class TestKernels:
+    """The pools' batched kernels against plain numpy."""
+
+    def test_unit_spectral(self):
+        # the top singular value comes from tr^2 - 4 det, which cancels when
+        # the two singular values nearly coincide, as on unitaries
+        rng = np.random.default_rng(62)
+        gaussian = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+        q, r = np.linalg.qr(rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2)))
+        diagonal = np.diagonal(r, axis1=1, axis2=2)
+        haar = q * (diagonal / np.abs(diagonal))[:, None, :]
+        batch = _unit_spectral(np.concatenate([gaussian[:3], np.zeros((2, 2, 2)), gaussian[3:]]))
+        assert np.array_equal(batch[3:5], np.zeros((2, 2, 2)))
+        gaussian_norms = np.linalg.norm(np.concatenate([batch[:3], batch[5:]]), 2, axis=(1, 2))
+        assert np.abs(gaussian_norms - 1).max() < 1e-14
+        assert np.abs(np.linalg.norm(_unit_spectral(haar), 2, axis=(1, 2)) - 1).max() < 2e-8
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 9), k=st.integers(1, 6), q=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_party_first_is_moveaxis(self, n, k, q, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((n, 8, k)) + 1j * rng.standard_normal((n, 8, k))
+        reference = np.moveaxis(m.reshape(n, 2, 2, 2, k), q + 1, 1).reshape(n, 2, -1)
+        assert np.array_equal(_party_first(m, q), reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 9), k=st.integers(1, 6), q=st.sampled_from([0, 1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_apply_factors_is_the_kronecker_product(self, n, k, q, seed):
+        # party q is skipped: its factor acts as the identity
+        rng = np.random.default_rng(seed)
+        fac = _interior_starts(rng, n + 1)[1:]
+        basis = rng.standard_normal((8, k)) + 1j * rng.standard_normal((8, k))
+        out = _apply_factors(fac, basis, skip=q)
+        for row, factors in zip(out, fac):
+            factors = list(factors)
+            factors[q] = np.eye(2)
+            reference = kron_all(factors) @ basis
+            assert np.abs(row - reference).max() <= 1e-14 * np.linalg.norm(reference)
+
+
 class TestObjectives:
     """The batched optimizer objectives agree with the public functions they
     stand in for, at random parameters."""
@@ -412,7 +455,7 @@ class TestObjectives:
         fac = _interior_starts(np.random.default_rng(seed), 6)
         y = _apply_factors(fac, source.complement_basis)
         overlap, prob = _witness_value(y, target.span_basis)
-        neg_fidelity, _ = _fidelity_at(y, target.complement_basis)
+        neg_fidelity, _ = _fidelity_at(y, target.complement_basis.conj().T)
         for i in range(len(fac)):
             state, p = apply_filter(LocalFilter.from_raw(list(fac[i])), rho)
             assert p > 1e-14
@@ -433,17 +476,17 @@ class TestFidelityAscent:
         # never exceeds it
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
-        basis, tcomp = source.complement_basis, target.complement_basis
+        basis, tdag = source.complement_basis, target.complement_basis.conj().T
         fac = _interior_starts(np.random.default_rng(seed), 8)
         for _ in range(3):
-            value, unitary = _fidelity_at(_apply_factors(fac, basis), tcomp)
+            value, unitary = _fidelity_at(_apply_factors(fac, basis), tdag)
             g = surrogate(fac, unitary, source, target)
             assert np.abs(g + value).max() < 1e-12
             for q in range(3):
                 fac = block_step(fac, q, unitary, source, target)
                 new = surrogate(fac, unitary, source, target)
                 assert (new >= g - 1e-12).all()
-                assert (new <= -_fidelity_at(_apply_factors(fac, basis), tcomp)[0] + 1e-12).all()
+                assert (new <= -_fidelity_at(_apply_factors(fac, basis), tdag)[0] + 1e-12).all()
                 g = new
 
     @settings(max_examples=20, deadline=None)
@@ -459,12 +502,12 @@ class TestFidelityAscent:
         # store another point's value or polar factor
         source = build_canonical(CanonicalAngles(*angles[:3]))
         target = build_canonical(CanonicalAngles(*angles[3:]))
-        basis, tcomp = source.complement_basis, target.complement_basis
+        basis, tdag = source.complement_basis, target.complement_basis.conj().T
         fac = _interior_starts(np.random.default_rng(seed), 12)
-        state = (fac, *_fidelity_at(_apply_factors(fac, basis), tcomp), np.ones(len(fac)))
+        state = (fac, *_fidelity_at(_apply_factors(fac, basis), tdag), np.ones(len(fac)))
         for _ in range(30):
-            new, _ = _ascent_sweep(state, basis, tcomp)
-            value, unitary = _fidelity_at(_apply_factors(new[0], basis), tcomp)
+            new, _ = _ascent_sweep(state, basis, tdag)
+            value, unitary = _fidelity_at(_apply_factors(new[0], basis), tdag)
             assert (new[1] <= state[1] + 1e-12).all()  # negative fidelity
             assert np.abs(new[1] - value).max() < 1e-12
             assert np.abs(new[2] - unitary).max() < 1e-12
@@ -497,18 +540,18 @@ class TestFidelityAscent:
         aligned = np.array([np.outer(random_state(rng), f.conj()) for f in member])
         fac = _interior_starts(rng, 6)
         batch = np.concatenate([fac, aligned[None]])
-        basis, tcomp = shifts_class_upb.complement_basis, third_class_upb.complement_basis
+        basis, tdag = shifts_class_upb.complement_basis, third_class_upb.complement_basis.conj().T
         for _ in range(4):
-            _, fac_unitary = _fidelity_at(_apply_factors(fac, basis), tcomp)
-            _, batch_unitary = _fidelity_at(_apply_factors(batch, basis), tcomp)
+            _, fac_unitary = _fidelity_at(_apply_factors(fac, basis), tdag)
+            _, batch_unitary = _fidelity_at(_apply_factors(batch, basis), tdag)
             for q in range(3):
                 fac = block_step(fac, q, fac_unitary, shifts_class_upb, third_class_upb)
                 batch = block_step(batch, q, batch_unitary, shifts_class_upb, third_class_upb)
-        values, _ = _fidelity_at(_apply_factors(batch, basis), tcomp)
+        values, _ = _fidelity_at(_apply_factors(batch, basis), tdag)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
         assert np.array_equal(batch[-1], aligned)
         assert values[-1] == _INVALID
-        alone, _ = _fidelity_at(_apply_factors(fac, basis), tcomp)
+        alone, _ = _fidelity_at(_apply_factors(fac, basis), tdag)
         assert np.abs(batch[:-1] - fac).max() < 1e-15
         assert np.abs(values[:-1] - alone).max() < 1e-15
 
@@ -534,7 +577,8 @@ class TestWitnessDescent:
         weight = product_weight(qubits, span)
         for _ in range(3):
             for q in range(3):
-                fac, carried, prob = _witness_step(fac, value, prob, q, basis, span)
+                partial = _apply_factors(fac, basis, skip=q)
+                fac, carried, prob = _witness_step(fac, value, prob, q, partial, *_party_span(span, q))
                 factors = list(np.swapaxes(qubits, 0, 1))
                 factors[q], _ = _product_step(factors, q, contracts[q])
                 qubits = np.stack(factors, axis=1)
@@ -572,7 +616,7 @@ class TestWitnessDescent:
         state = (near.copy(), value, prob)
         for _ in range(3):
             for q in range(3):
-                state = _witness_step(*state, q, basis, span)
+                state = _witness_step(*state, q, _apply_factors(state[0], basis, skip=q), *_party_span(span, q))
         assert same_rows(state, (near, value, prob))
 
     def test_kernel_aligned_restart_is_kept_and_isolated(self, shifts_class_upb, third_class_upb):
@@ -585,8 +629,8 @@ class TestWitnessDescent:
         batch_state = (batch, *_witness_value(_apply_factors(batch, basis), span))
         for _ in range(4):
             for q in range(3):
-                fac_state = _witness_step(*fac_state, q, basis, span)
-                batch_state = _witness_step(*batch_state, q, basis, span)
+                fac_state = _witness_step(*fac_state, q, _apply_factors(fac_state[0], basis, skip=q), *_party_span(span, q))
+                batch_state = _witness_step(*batch_state, q, _apply_factors(batch_state[0], basis, skip=q), *_party_span(span, q))
         fac, batch = fac_state[0], batch_state[0]
         values, _ = _witness_value(_apply_factors(batch, basis), span)
         assert np.isfinite(batch).all() and np.isfinite(values).all()
@@ -622,7 +666,8 @@ class TestRankOneHandOff:
         qubits = _output_states(fac)
         contracts = _contractions(span, (2, 2, 2), FINEST)
         for q in range(3):
-            _, least, _ = _witness_step(fac, np.full(len(fac), _INVALID), prob, q, basis, span)
+            partial = _apply_factors(fac, basis, skip=q)
+            _, least, _ = _witness_step(fac, np.full(len(fac), _INVALID), prob, q, partial, *_party_span(span, q))
             _, weight = _product_step(qubits, q, contracts[q])
             assert np.abs(least - weight).max() < 1e-12
 
@@ -675,11 +720,11 @@ class TestSweeps:
         rng = np.random.default_rng(seed)
         fac = _interior_starts(rng, restarts)
         qubits = np.array([[random_state(rng) for _ in range(3)] for _ in range(restarts)])
-        basis, span, tcomp = source.complement_basis, target.span_basis, target.complement_basis
-        y, beta = _apply_factors(fac, basis), np.ones(restarts)
+        basis, span, tdag = source.complement_basis, target.span_basis, target.complement_basis.conj().T
+        y, beta, parties = _apply_factors(fac, basis), np.ones(restarts), [_party_span(span, q) for q in range(3)]
         pools = [
-            ((fac, *_witness_value(y, span), beta), budget // 48, lambda s: _witness_sweep(s, basis, span)),
-            ((fac, *_fidelity_at(y, tcomp), beta), budget // 48, lambda s: _ascent_sweep(s, basis, tcomp)),
+            ((fac, *_witness_value(y, span), beta), budget // 48, lambda s: _witness_sweep(s, basis, span, parties)),
+            ((fac, *_fidelity_at(y, tdag), beta), budget // 48, lambda s: _ascent_sweep(s, basis, tdag)),
             ((*np.swapaxes(qubits, 0, 1), np.full(restarts, np.inf)), budget // 12,
              _descent_sweep(span, (2, 2, 2), FINEST)),
         ]
@@ -695,9 +740,9 @@ class TestSweeps:
         batch = np.concatenate([np.array(aligned), _interior_starts(rng, 2)[1:]])
         sizes = []
         monkeypatch.setattr(filtering, "_block_step", recording(_block_step, sizes))
-        basis, tcomp = shifts_class_upb.complement_basis, third_class_upb.complement_basis
-        state = (batch, *_fidelity_at(_apply_factors(batch, basis), tcomp), np.ones(len(batch)))
-        sweep = lambda s: _ascent_sweep(s, basis, tcomp)
+        basis, tdag = shifts_class_upb.complement_basis, third_class_upb.complement_basis.conj().T
+        state = (batch, *_fidelity_at(_apply_factors(batch, basis), tdag), np.ones(len(batch)))
+        sweep = lambda s: _ascent_sweep(s, basis, tdag)
         out = _sweeps(state, 20, sweep)
         assert sizes[:3] == [6, 6, 6] and sizes[3:] == [1] * 57
         assert same_rows(out, plain_sweeps(state, 20, sweep))
@@ -713,7 +758,8 @@ class TestSweeps:
         assert ((prob > 1e-10) & (prob < 1e-8)).all()
         sizes = []
         monkeypatch.setattr(filtering, "_witness_step", recording(_witness_step, sizes))
-        out = _sweeps((near, value, prob, np.ones(len(near))), 100, lambda s: _witness_sweep(s, basis, span))
+        parties = [_party_span(span, q) for q in range(3)]
+        out = _sweeps((near, value, prob, np.ones(len(near))), 100, lambda s: _witness_sweep(s, basis, span, parties))
         assert sizes == [4, 4, 4]
         assert np.array_equal(out[0], near)
 
