@@ -18,7 +18,6 @@ extendibility verdict itself.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -76,9 +75,8 @@ def _parse_partition(text: str | None):
         raise InputError(f"bad partition {text!r}: {exc}") from exc
 
 
-def _search_config(args, base: SearchConfig = SearchConfig()) -> SearchConfig:
-    """``base`` with the --grid, --tol and --seed flags applied."""
-    return dataclasses.replace(base, grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed)
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed)
 
 
 def _hit_document(hit) -> dict:
@@ -211,8 +209,12 @@ def _run_graphs(args):
 
 def _run_search_pv(args):
     upb = load_upb_spec(args.upb)
-    basis = upb.span_basis if args.space == "span" else upb.complement_basis
-    sub = Subspace(upb.dims, basis)
+    # the full space's complement is zero-dimensional and makes no Subspace
+    if args.space == "span" and upb.n == upb.total_dim:
+        raise InputError("subspace is the full space; every product vector lies in it")
+    sub = Subspace(upb.dims, upb.complement_basis)
+    if args.space == "span":
+        sub = sub.complement()
     partition = _parse_partition(args.partition)
     hits = find_product_vectors(sub, partition, _search_config(args))
     doc = {
@@ -233,8 +235,7 @@ def _run_certify(args):
 
 def _run_qutrit_extras(args):
     upb = load_upb_spec(args.upb)
-    config = _search_config(args, qutrit.QUTRIT_SEARCH)
-    all_hits, extras = qutrit.extra_product_vectors(upb, config)
+    all_hits, extras = qutrit.extra_product_vectors(upb, _search_config(args))
     doc = {
         "dims": list(upb.dims),
         "total_product_vectors": len(all_hits),

@@ -102,10 +102,6 @@ class EquivalentPairError(InputError):
     """Raised when a gap certificate is requested for an equivalent pair."""
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
 def _top_gram_eigenvalue(filters: Sequence[LocalFilter], scales) -> float:
     """Largest eigenvalue of ``sum_k s_k^2 X_k^dag X_k``."""
     total = np.zeros((8, 8), dtype=complex)
@@ -126,7 +122,7 @@ class LocalFilter:
             f = np.asarray(f, dtype=complex)
             if f.shape != (2, 2):
                 raise ValueError(f"filter factor must be 2x2, got {f.shape}")
-            if abs(_spectral_norm(f) - 1.0) > SPECTRAL_NORM_TOL:
+            if abs(np.linalg.norm(f, 2) - 1.0) > SPECTRAL_NORM_TOL:
                 raise ValueError("filter factor spectral norm is not 1 within 1e-10")
             f = f.copy()
             f.setflags(write=False)
@@ -144,7 +140,7 @@ class LocalFilter:
         out = []
         for f in factors:
             f = np.asarray(f, dtype=complex)
-            s = _spectral_norm(f)
+            s = np.linalg.norm(f, 2)
             if s <= 0:
                 raise ValueError("cannot normalize a zero factor")
             out.append(f / s)

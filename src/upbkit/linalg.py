@@ -27,11 +27,6 @@ def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermiticity_error(m: np.ndarray) -> float:
-    """Max-norm distance from the Hermitian cone, ``max |M - M^dag|``."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 @dataclass(frozen=True)
 class PartitionCut:
     """A bipartition of the parties into a left and a right group."""
@@ -46,12 +41,6 @@ class PartitionCut:
             raise ValueError("both sides of a cut must be non-empty")
         if set(self.left) & set(self.right):
             raise ValueError("cut sides must be disjoint")
-
-    def validate_for(self, n_parties: int) -> None:
-        if set(self.left) | set(self.right) != set(range(n_parties)):
-            raise ValueError(
-                f"cut {self.left}|{self.right} does not cover parties 0..{n_parties - 1}"
-            )
 
 
 class DensityMatrix:
@@ -71,7 +60,7 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match dims {dims} (total {total})"
             )
-        if hermiticity_error(matrix) > DENSITY_HERMITICITY_TOL:
+        if np.abs(matrix - matrix.conj().T).max() > DENSITY_HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within 1e-12")
         tr = matrix.trace()
         if abs(tr - 1.0) > TRACE_TOL:
@@ -85,10 +74,6 @@ class DensityMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("DensityMatrix is immutable")
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.dims)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims})"
@@ -117,7 +102,7 @@ def kron_all(factors: Iterable[np.ndarray]) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the parties in ``keep``; trace is preserved."""
     keep = sorted(set(int(k) for k in keep))
-    n = rho.n_parties
+    n = len(rho.dims)
     if not keep:
         raise ValueError("keep set must be non-empty")
     if any(k < 0 or k >= n for k in keep):
@@ -146,7 +131,8 @@ def partial_transpose(rho, cut: PartitionCut, dims: Sequence[int] | None = None)
         matrix = _as_complex_matrix(rho, "matrix")
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    cut.validate_for(n)
+    if set(cut.left) | set(cut.right) != set(range(n)):
+        raise ValueError(f"cut {cut.left}|{cut.right} does not cover parties 0..{n - 1}")
     tensor = matrix.reshape(dims + dims)
     axes = list(range(2 * n))
     for p in cut.right:

@@ -118,7 +118,12 @@ class Subspace:
         return cached
 
     def complement(self) -> "Subspace":
-        return Subspace(self.dims, self.perp_basis)
+        """The orthogonal complement, whose ``perp_basis`` is this subspace's
+        own basis, bit for bit: a UPB's span is searched on the complement
+        the UPB holds."""
+        out = Subspace(self.dims, self.perp_basis)
+        object.__setattr__(out, "_perp_basis", self.basis)
+        return out
 
 
 def normalize_partition(partition, n_parties: int) -> tuple[tuple[int, ...], ...]:
@@ -163,15 +168,13 @@ class ProductVectorHit:
     factors: tuple[np.ndarray, ...]
     residual: float
 
-    def overlaps(self, member_factors: Sequence[np.ndarray]) -> tuple[float, ...]:
-        """Per-group |<hit factor | member factor>| against per-party factors."""
-        return tuple(
-            float(abs(np.vdot(kron_all(member_factors[p] for p in g), f)))
+    def matches(self, member_factors: Sequence[np.ndarray], tol: float = DEDUP_TOL) -> bool:
+        """Whether every group's |<hit factor | member factor>|, against
+        per-party factors, is at least ``1 - tol``."""
+        return all(
+            abs(np.vdot(kron_all(member_factors[p] for p in g), f)) >= 1 - tol
             for g, f in zip(self.partition, self.factors)
         )
-
-    def matches(self, member_factors: Sequence[np.ndarray], tol: float = DEDUP_TOL) -> bool:
-        return all(ov >= 1 - tol for ov in self.overlaps(member_factors))
 
 
 def residual(factors: Sequence[np.ndarray], subspace: Subspace, partition=None) -> float:
@@ -273,13 +276,6 @@ def _unit_starts(rng: np.random.Generator, n: int, gdims) -> list[np.ndarray]:
     return [z / np.linalg.norm(z, axis=1, keepdims=True) for z in starts]
 
 
-def _product_descent(basis: np.ndarray, dims, partition, starts, sweeps: int) -> tuple[np.ndarray, ...]:
-    """Up to ``sweeps`` sweeps of :func:`_descent_sweep` from the per-group
-    ``starts`` (for the normalized ``partition``): the per-group factors and
-    the weight ``||B^dag v||^2``, one row per start."""
-    return _sweeps((*starts, np.full(len(starts[0]), np.inf)), sweeps, _descent_sweep(basis, dims, partition))
-
-
 def find_product_vectors(
     subspace: Subspace,
     partition=None,
@@ -287,9 +283,11 @@ def find_product_vectors(
 ) -> list[ProductVectorHit]:
     """All product vectors (for the given partition) found in the subspace.
 
-    Hits are deduplicated up to global phase and sorted by residual; the
-    empty list is a valid result.  Identical configs (including seed) give
-    identical hit lists.
+    The descent runs on ``subspace.perp_basis`` alone, so a UPB's span,
+    built as ``Subspace(upb.dims, upb.complement_basis).complement()``, is
+    searched on the complement the UPB holds.  Hits are deduplicated up to
+    global phase and sorted by residual; the empty list is a valid result.
+    Identical configs (including seed) give identical hit lists.
     """
     config = config or SearchConfig()
     dims = subspace.dims
@@ -301,7 +299,8 @@ def find_product_vectors(
     gdims = _group_dims(dims, partition)
     n_starts = config.grid_resolution ** 2 * sum(d - 1 for d in gdims)
     starts = _unit_starts(np.random.default_rng(config.seed), n_starts, gdims)
-    *found, weight = _product_descent(subspace.perp_basis, dims, partition, starts, config.max_iterations)
+    *found, weight = _sweeps((*starts, np.full(n_starts, np.inf)), config.max_iterations,
+                             _descent_sweep(subspace.perp_basis, dims, partition))
     resnorm = np.sqrt(weight)
     converged = resnorm <= config.residual_tol
     order = np.argsort(resnorm[converged], kind="stable")

@@ -13,8 +13,9 @@ from upbkit import cli, qutrit
 from upbkit import upb as upb_module
 from upbkit.cli import main
 from upbkit.filtering import EquivalentPairError, GapSearchConfig
+from upbkit.linalg import orthonormality_error
 from upbkit.product_search import SearchConfig, Subspace, normalize_partition
-from upbkit.serialize import InputError, MalformedDocumentError, dumps_report, upb_to_document
+from upbkit.serialize import InputError, MalformedDocumentError, dumps_report, upb_from_document, upb_to_document
 from upbkit.upb import UPB, CanonicalAngles, ProductState, build_canonical, canonicalize, shifts
 
 SHIFTS_CLASS = "canonical:1.5707963267948966,1.5707963267948966,1.5707963267948966"
@@ -49,6 +50,20 @@ def full_basis_file(tmp_path):
     path = tmp_path / "full.json"
     family = UPB([ProductState([a, b, c]) for a in ket for b in ket for c in ket])
     path.write_text(dumps_report(upb_to_document(family)))
+    return str(path)
+
+
+def nudged_file(tmp_path, upb) -> str:
+    """``upb`` as a document whose member 1 has its second factor moved by
+    3e-11 and renormalized: orthonormal within the loader's 1e-10, not 1e-12."""
+    doc = upb_to_document(upb)
+    f = np.array([complex(*pair) for pair in doc["members"][1][1]])
+    f[0] += 3e-11
+    doc["members"][1][1] = [[z.real, z.imag] for z in f / np.linalg.norm(f)]
+    error = orthonormality_error(np.array([m.tensor for m in upb_from_document(doc).members]))
+    assert 1e-12 < error < 1e-10
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -106,6 +121,9 @@ class TestExitCodes:
         assert main(["qutrit-extras", "--upb", "tiles", "--tol", "-1"]) == 3
         assert main(["search-pv", "--upb", "tiles", "--partition", "0|1|2"]) == 3
         assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--partition", "0,1,2"]) == 3
+        assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--partition", "a|b"]) == 3
+        assert main(["validate", "--upb", str(tmp_path / "missing.json")]) == 3
+        assert main(["validate", "--upb", "canonical:a,b,c"]) == 3
         assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--seed", "-1"]) == 3
         assert main(["search-pv", "--upb", "canonical:1,2,0.5", "--tol", "nan"]) == 3
         assert main(["qutrit-extras", "--upb", "tiles", "--seed", "-1"]) == 3
@@ -118,6 +136,8 @@ class TestExitCodes:
         assert main(["certify", "--source", "tiles", "--target", THIRD_CLASS]) == 3
         nan_factor = upb_to_document(shifts())
         nan_factor["members"][1][0][0][0] = float("nan")
+        long_factor = upb_to_document(shifts())
+        long_factor["members"][1][0].append([0.0, 0.0])
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
@@ -125,6 +145,7 @@ class TestExitCodes:
             {"canonical": [0.0, 1.0, 1.0]},
             {"dims": [2, 2, 2], "members": []},
             nan_factor,
+            long_factor,
         )
         for i, doc in enumerate(docs):
             path = tmp_path / f"not_a_upb{i}.json"
@@ -174,6 +195,8 @@ class TestInputErrors:
             assert main(argv + ["--upb", full_basis_file]) == 3
             err = capsys.readouterr().err
             assert err.startswith("usage error: ") and err.count("\n") == 1
+            if argv[-1] == "span":
+                assert err == "usage error: subspace is the full space; every product vector lies in it\n"
         assert main(["validate", "--upb", full_basis_file]) == 1
 
     def test_rank_ambiguity_is_numerical_only_in_validate(self):
@@ -258,6 +281,26 @@ class TestReports:
         )
         assert code == 0
         assert report["result"]["n_hits"] == 4
+
+    def test_search_pv_on_a_family_orthonormal_only_within_1e_10(self, tmp_path):
+        # the span is searched on the complement the UPB holds, so a family
+        # the loader accepts is searched, not refused at 1e-12
+        path = nudged_file(tmp_path, build_canonical(CanonicalAngles(1.0, 2.0, 0.5)))
+        code, _ = run(tmp_path, "validate", "--upb", path)
+        assert code == 0
+        for partition in ([], ["--partition", "0|1,2"], ["--partition", "1|0,2"], ["--partition", "2|0,1"]):
+            code, report = run(tmp_path, "search-pv", "--upb", path, "--space", "span", *partition)
+            assert code == 0
+            assert report["result"]["n_hits"] == 4
+
+    def test_qutrit_extras_on_a_family_orthonormal_only_within_1e_10(self, tmp_path):
+        path = nudged_file(tmp_path, qutrit.bundled_upb("tiles"))
+        code, report = run(tmp_path, "qutrit-extras", "--upb", path)
+        assert code == 0
+        assert report["result"]["n_extras"] == 1
+        code, report = run(tmp_path, "search-pv", "--upb", path)
+        assert code == 0
+        assert report["result"]["n_hits"] == 6
 
     def test_graphs_report(self, tmp_path):
         code, report = run(tmp_path, "graphs")

@@ -49,7 +49,6 @@ from upbkit.product_search import (
     Subspace,
     _contractions,
     _descent_sweep,
-    _product_descent,
     _product_step,
     _unit_starts,
     find_product_vectors,
@@ -785,7 +784,30 @@ class TestBoundaryProbe:
         descent = _descent_sweep(target.span_basis, (2, 2, 2), FINEST)
         *_, probe = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
                             lambda s: _probe_sweep(s, descent))
-        *_, fixed = _product_descent(target.span_basis, (2, 2, 2), FINEST, starts, 4000)
+        *_, fixed = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), 4000, descent)
+        assert abs(probe.min() - fixed.min()) < 1e-12
+
+    def test_probe_runs_to_its_cap_near_the_box_boundary(self):
+        # at the hypothesis example (1.5625, 0.25, 0.25), seed 0, every start
+        # still gains more than the stop's 1e-14 per sweep at the cap
+        target = build_canonical(CanonicalAngles(1.5625, 0.25, 0.25))
+        starts = _unit_starts(np.random.default_rng(0), BOUNDARY_STARTS, (2, 2, 2))
+        descent = _descent_sweep(target.span_basis, (2, 2, 2), FINEST)
+        sizes = []
+        _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
+                recording(lambda s: _probe_sweep(s, descent), sizes))
+        assert sizes == [BOUNDARY_STARTS] * (BOUNDARY_BUDGET // 12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the probe's sweep cap binds near the box boundary: its minimum ends "
+        "1.0172578925049525e-12 above the 4000-sweep descent's"))
+    def test_probe_reaches_the_descent_near_the_box_boundary(self):
+        target = build_canonical(CanonicalAngles(1.5625, 0.25, 0.25))
+        starts = _unit_starts(np.random.default_rng(0), BOUNDARY_STARTS, (2, 2, 2))
+        descent = _descent_sweep(target.span_basis, (2, 2, 2), FINEST)
+        *_, probe = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), BOUNDARY_BUDGET // 12,
+                            lambda s: _probe_sweep(s, descent))
+        *_, fixed = _sweeps((*starts, np.full(BOUNDARY_STARTS, np.inf)), 4000, descent)
         assert abs(probe.min() - fixed.min()) < 1e-12
 
     def test_reference_target_stops_within_20_sweeps(self, shifts_class_upb, third_class_upb, monkeypatch):

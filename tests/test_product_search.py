@@ -20,7 +20,6 @@ from upbkit.product_search import (
     _descent_sweep,
     _group_dims,
     _interleave,
-    _product_descent,
     _product_step,
     _qubit_lowest,
 )
@@ -44,9 +43,9 @@ def random_subspace(rng, dims, k) -> Subspace:
 
 def plain_descent(basis, dims, partition, starts, sweeps):
     """Sweeps of the exact product step over the whole batch, no start
-    retired: the reference for :func:`_product_descent`.  A start is done once
-    a sweep does not lower its weight or leaves it at most 1e-26, and keeps
-    that sweep's row from then on."""
+    retired: the reference for :func:`_descent_sweep` under :func:`_sweeps`.
+    A start is done once a sweep does not lower its weight or leaves it at
+    most 1e-26, and keeps that sweep's row from then on."""
     contracts = _contractions(basis, dims, partition)
     factors = list(starts)
     weight = np.full(len(factors[0]), np.inf)
@@ -275,14 +274,14 @@ class TestRefine:
         sub = product_subspace(rng, dims, partition, n_products, n_random)
         starts = random_starts(rng, n_starts, _group_dims(dims, partition))
         basis = sub.perp_basis
-        assert same_bits(_product_descent(basis, dims, partition, starts, sweeps),
-                         plain_descent(basis, dims, partition, starts, sweeps))
+        retiring = _sweeps((*starts, np.full(n_starts, np.inf)), sweeps, _descent_sweep(basis, dims, partition))
+        assert same_bits(retiring, plain_descent(basis, dims, partition, starts, sweeps))
 
     def test_qutrit_span(self):
         sub = Subspace((3, 3), bundled_upb("tiles").span_basis)
         partition = ((0,), (1,))
         starts = random_starts(np.random.default_rng(35), 64, (3, 3))
-        out = _product_descent(sub.perp_basis, (3, 3), partition, starts, 40)
+        out = _sweeps((*starts, np.full(64, np.inf)), 40, _descent_sweep(sub.perp_basis, (3, 3), partition))
         assert (out[-1] <= 1e-18).any()
         assert same_bits(out, plain_descent(sub.perp_basis, (3, 3), partition, starts, 40))
 
@@ -428,6 +427,17 @@ class TestConfigAndTypes:
             Subspace((2, 2), np.ones((4, 2)))
         with pytest.raises(ValueError):
             Subspace((2, 2), np.eye(3))
+
+    def test_span_is_searched_on_the_complement_the_upb_holds(self, third_class_upb):
+        u = third_class_upb
+        span = Subspace(u.dims, u.complement_basis).complement()
+        assert span.perp_basis.tobytes() == u.complement_basis.tobytes()
+        assert abs(span.basis.conj().T @ u.complement_basis).max() < 1e-14
+        # the same hits, bit for bit, as a search of the members' span
+        for partition in PARTITIONS:
+            old, new = find_product_vectors(span_subspace(u), partition), find_product_vectors(span, partition)
+            assert [(h.residual, [f.tobytes() for f in h.factors]) for h in new] == \
+                [(h.residual, [f.tobytes() for f in h.factors]) for h in old]
 
     def test_hit_tensor_interleaving(self, third_class_upb):
         # a hit on the middle-party cut must reassemble in ambient order

@@ -10,8 +10,8 @@ from upbkit.cli import main
 from upbkit.linalg import PartitionCut, partial_transpose
 from upbkit.product_search import residual, Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
-from upbkit.serialize import upb_from_document, upb_to_document
-from upbkit.upb import state_of
+from upbkit.serialize import InputError, upb_from_document, upb_to_document
+from upbkit.upb import UPB, ProductState, state_of
 
 # the published extra product vectors (up to phase): |0>|0> for pyramid and
 # the symmetric direction (2|0> - |1> + 2|2>)^(x2) / 9 for tiles
@@ -98,6 +98,12 @@ class TestExtraProductVectors:
     def test_wrong_party_count_rejected(self, shifts_class_upb):
         with pytest.raises(ValueError):
             extra_product_vectors(shifts_class_upb)
+
+    def test_family_spanning_the_space_rejected(self):
+        ket = np.eye(3, dtype=complex)
+        full = UPB([ProductState([a, b]) for a in ket for b in ket])
+        with pytest.raises(InputError, match="subspace is the full space"):
+            extra_product_vectors(full)
 
 
 class TestQutritStates:
