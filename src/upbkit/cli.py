@@ -209,12 +209,8 @@ def _run_graphs(args):
 
 def _run_search_pv(args):
     upb = load_upb_spec(args.upb)
-    # the full space's complement is zero-dimensional and makes no Subspace
-    if args.space == "span" and upb.n == upb.total_dim:
-        raise InputError("subspace is the full space; every product vector lies in it")
     sub = Subspace(upb.dims, upb.complement_basis)
-    if args.space == "span":
-        sub = sub.complement()
+    sub = sub.complement() if args.space == "span" else sub
     partition = _parse_partition(args.partition)
     hits = find_product_vectors(sub, partition, _search_config(args))
     doc = {

@@ -696,7 +696,7 @@ def minimize_span_overlap(source: UPB, target: UPB, config: GapSearchConfig | No
     fac = _interior_starts(rng, config.restarts)
     parties = [_party_span(span, q) for q in range(3)]
     fac, fi, prob, _ = _sweeps((fac, *_witness_value(_apply_factors(fac, basis), span), np.ones(len(fac))),
-                               max(1, config.budget // 48), lambda s: _witness_sweep(s, basis, span, parties))
+                               config.budget // 48, lambda s: _witness_sweep(s, basis, span, parties))
     done = _collapsed(fac, prob)
     starts = _unit_starts(rng, BOUNDARY_STARTS, (2, 2, 2))
     starts = [np.concatenate([s, v]) for s, v in zip(starts, _output_states(fac[done]))]
@@ -720,7 +720,7 @@ def maximize_fidelity(source: UPB, target: UPB, config: GapSearchConfig | None =
     basis, tdag = source.complement_basis, target.complement_basis.conj().T
     fac = _interior_starts(np.random.default_rng(config.seed + 1), config.restarts)
     fac, fi, _, _ = _sweeps((fac, *_fidelity_at(_apply_factors(fac, basis), tdag), np.ones(len(fac))),
-                            max(1, config.budget // 48), lambda s: _ascent_sweep(s, basis, tdag))
+                            config.budget // 48, lambda s: _ascent_sweep(s, basis, tdag))
     state, _ = apply_filter(LocalFilter.from_raw(list(fac[int(np.argmin(fi))])), state_of(source))
     return min(max(-float(fi.min()), 0.0), 1.0), state, (-fi).tolist()
 

@@ -1,14 +1,13 @@
 """Dense complex linear algebra for small multipartite Hilbert spaces.
 
-Everything here works on plain numpy arrays plus two light wrapper types
-(:class:`DensityMatrix`, :class:`PartitionCut`).  Dimensions are runtime
+Everything here works on plain numpy arrays plus one light wrapper type,
+:class:`DensityMatrix`.  Dimensions are runtime
 values so qubit and qutrit systems share one code path; nothing is tuned
 beyond total dimension 16.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,22 +24,6 @@ def _as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-@dataclass(frozen=True)
-class PartitionCut:
-    """A bipartition of the parties into a left and a right group."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-        if not self.left or not self.right:
-            raise ValueError("both sides of a cut must be non-empty")
-        if set(self.left) & set(self.right):
-            raise ValueError("cut sides must be disjoint")
 
 
 class DensityMatrix:
@@ -117,8 +100,9 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(dims, tensor.reshape(total, total))
 
 
-def partial_transpose(rho, cut: PartitionCut, dims: Sequence[int] | None = None) -> np.ndarray:
-    """Transpose the right-side factor of ``cut``.
+def partial_transpose(rho, parties: Iterable[int], dims: Sequence[int] | None = None) -> np.ndarray:
+    """Transpose the factors of ``parties``, a non-empty proper subset of
+    the parties: one side of a bipartite cut.
 
     Accepts a :class:`DensityMatrix` or a plain matrix plus explicit ``dims``
     (so the operation can be applied to its own non-PSD output).
@@ -131,11 +115,12 @@ def partial_transpose(rho, cut: PartitionCut, dims: Sequence[int] | None = None)
         matrix = _as_complex_matrix(rho, "matrix")
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if set(cut.left) | set(cut.right) != set(range(n)):
-        raise ValueError(f"cut {cut.left}|{cut.right} does not cover parties 0..{n - 1}")
+    parties = set(int(p) for p in parties)
+    if not parties or not parties < set(range(n)):
+        raise ValueError(f"parties {sorted(parties)} are not a non-empty proper subset of 0..{n - 1}")
     tensor = matrix.reshape(dims + dims)
     axes = list(range(2 * n))
-    for p in cut.right:
+    for p in parties:
         axes[p], axes[p + n] = axes[p + n], axes[p]
     total = int(np.prod(dims))
     return tensor.transpose(axes).reshape(total, total)
@@ -164,19 +149,15 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def complement_basis(vectors) -> np.ndarray:
-    """Orthonormal basis (columns) of the orthogonal complement of ``vectors``.
-
-    ``vectors`` is a sequence of 1-D arrays or a matrix whose columns span the
-    input space; they must be linearly independent.
-    """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        v = np.asarray(vectors, dtype=complex)
-    else:
-        cols = [np.asarray(x, dtype=complex).reshape(-1) for x in vectors]
-        v = np.column_stack(cols)
+def complement_basis(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (columns) of the orthogonal complement of the
+    columns of the matrix ``vectors``, which must be linearly independent;
+    no columns give a basis of the whole space."""
+    v = np.asarray(vectors, dtype=complex)
     d, k = v.shape
-    if k == 0 or k > d:
+    if k == 0:
+        return np.eye(d, dtype=complex)
+    if k > d:
         raise ValueError(f"cannot take complement of {k} vectors in dimension {d}")
     u, s, _ = np.linalg.svd(v, full_matrices=True)
     if s.min() <= 1e-10 * max(s.max(), 1.0):
@@ -185,9 +166,9 @@ def complement_basis(vectors) -> np.ndarray:
 
 
 def orthonormality_error(vectors: np.ndarray) -> float:
-    """Max deviation of the Gram matrix of row vectors from the identity."""
+    """Max deviation of the Gram matrix of row vectors from the identity (0 if none)."""
     g = vectors @ vectors.conj().T
-    return float(np.abs(g - np.eye(g.shape[0])).max())
+    return float(np.abs(g - np.eye(g.shape[0])).max(initial=0.0))
 
 
 def _sweeps(state: tuple, sweeps: int, sweep) -> tuple:

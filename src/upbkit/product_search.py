@@ -68,7 +68,8 @@ class SearchConfig:
 
 
 class Subspace:
-    """A subspace of a multipartite space, held as orthonormal basis columns."""
+    """A subspace of a multipartite space, held as orthonormal basis columns,
+    possibly none: :func:`find_product_vectors` refuses a zero-dimensional one."""
 
     __slots__ = ("dims", "basis", "_perp_basis")
 
@@ -80,8 +81,6 @@ class Subspace:
         total = int(np.prod(dims))
         if basis.shape[0] != total:
             raise ValueError(f"basis lives in dimension {basis.shape[0]}, dims give {total}")
-        if basis.shape[1] == 0:
-            raise InputError("subspace is zero-dimensional: there is no product vector to find")
         if not orthonormality_error(basis.T) <= 1e-12:
             raise ValueError("basis columns are not orthonormal within 1e-12")
         basis = basis.copy()
@@ -92,21 +91,6 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def orthonormalized(cls, dims: Sequence[int], vectors) -> "Subspace":
-        """Build from a spanning set, orthonormalizing by QR."""
-        v = np.asarray(vectors, dtype=complex)
-        if v.ndim != 2:
-            v = np.column_stack([np.asarray(x, dtype=complex).reshape(-1) for x in vectors])
-        q, r = np.linalg.qr(v)
-        if np.abs(np.diag(r)).min() <= 1e-12 * max(np.abs(np.diag(r)).max(), 1.0):
-            raise ValueError("spanning set is rank deficient")
-        return cls(dims, q)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
     @property
     def perp_basis(self) -> np.ndarray:
@@ -163,7 +147,6 @@ def _interleave(dims, partition, group_vectors: list[np.ndarray]) -> np.ndarray:
 class ProductVectorHit:
     """A product vector found inside the subspace, factored per group."""
 
-    dims: tuple[int, ...]
     partition: tuple[tuple[int, ...], ...]
     factors: tuple[np.ndarray, ...]
     residual: float
@@ -287,15 +270,19 @@ def find_product_vectors(
     built as ``Subspace(upb.dims, upb.complement_basis).complement()``, is
     searched on the complement the UPB holds.  Hits are deduplicated up to
     global phase and sorted by residual; the empty list is a valid result.
-    Identical configs (including seed) give identical hit lists.
+    Identical configs (including seed) give identical hit lists.  A
+    zero-dimensional subspace holds no product vector and the full space
+    holds every one, so both raise :class:`InputError`, the former first.
     """
+    if subspace.basis.shape[1] == 0:
+        raise InputError("subspace is zero-dimensional: there is no product vector to find")
+    if subspace.perp_basis.shape[1] == 0:
+        raise InputError("subspace is the full space; every product vector lies in it")
     config = config or SearchConfig()
     dims = subspace.dims
     if partition is None:
         partition = finest_partition(len(dims))
     partition = normalize_partition(partition, len(dims))
-    if subspace.perp_basis.shape[1] == 0:
-        raise InputError("subspace is the full space; every product vector lies in it")
     gdims = _group_dims(dims, partition)
     n_starts = config.grid_resolution ** 2 * sum(d - 1 for d in gdims)
     starts = _unit_starts(np.random.default_rng(config.seed), n_starts, gdims)
@@ -329,7 +316,7 @@ def find_product_vectors(
             continue
         for f in factors:
             f.setflags(write=False)
-        hits.append(ProductVectorHit(dims, partition, tuple(factors), res))
+        hits.append(ProductVectorHit(partition, tuple(factors), res))
     hits.sort(key=lambda h: h.residual)
     return hits
 
@@ -418,4 +405,4 @@ def is_extendible(members, config: SearchConfig | None = None) -> ProductVectorH
     for f in factors:
         f.setflags(write=False)
     res = float(np.linalg.norm(stack.conj() @ kron_all(factors)))
-    return ProductVectorHit(dims, finest_partition(len(dims)), factors, res)
+    return ProductVectorHit(finest_partition(len(dims)), factors, res)

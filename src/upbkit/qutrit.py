@@ -40,8 +40,6 @@ def extra_product_vectors(
     The span is searched on the complement the UPB holds."""
     if len(upb.dims) != 2:
         raise InputError(f"{upb!r} is not a two-party UPB")
-    if upb.n == upb.total_dim:
-        raise InputError("subspace is the full space; every product vector lies in it")
     sub = Subspace(upb.dims, upb.complement_basis).complement()
     hits = find_product_vectors(sub, [(0,), (1,)], config or QUTRIT_SEARCH)
     extras = [h for h in hits if not any(h.matches(m.factors) for m in upb.members)]

@@ -57,50 +57,44 @@ class InputError(ValueError):
     kind.  The CLI exits 3 on it; every other ``ValueError`` is numerical."""
 
 
-class MalformedDocumentError(InputError):
-    """A UPB document with the wrong structure: not a mapping, missing keys,
-    wrong types, non-finite numbers, no members, or factors that do not
-    match ``dims``."""
-
-
 def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
     whole CLI reports (the ``result`` of ``upbkit build``).
 
-    Faults of the document itself raise :class:`MalformedDocumentError`, and
-    canonical angles outside (0, pi) :class:`InputError`; a well-formed
-    document whose members are not an orthonormal family raises
-    ``ValueError``.
+    Faults of the document itself, a factor that does not match ``dims``
+    among them, and canonical angles outside (0, pi) raise
+    :class:`InputError`; a well-formed document whose members are not an
+    orthonormal family raises ``ValueError``.  The UPB's dims are its members'.
     """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
 
     if not isinstance(doc, dict):
-        raise MalformedDocumentError("UPB document must be a mapping")
+        raise InputError("UPB document must be a mapping")
     if "members" not in doc and "canonical" not in doc and isinstance(doc.get("result"), dict):
         doc = doc["result"]
     if "canonical" in doc:
         angles = doc["canonical"]
         if not isinstance(angles, (list, tuple)) or len(angles) != 3:
-            raise MalformedDocumentError("canonical shorthand requires three angles")
+            raise InputError("canonical shorthand requires three angles")
         try:
             angles = [float(a) for a in angles]
         except (TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"canonical angles must be numbers: {exc}") from exc
+            raise InputError(f"canonical angles must be numbers: {exc}") from exc
         return build_canonical(CanonicalAngles(*angles))
     try:
         dims = tuple(int(d) for d in doc["dims"])
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocumentError(f"malformed UPB document: {exc}") from exc
+        raise InputError(f"malformed UPB document: {exc}") from exc
     if not members:
-        raise MalformedDocumentError("a UPB document needs at least one member")
+        raise InputError("a UPB document needs at least one member")
     for factors in members:
         if len(factors) != len(dims):
-            raise MalformedDocumentError(f"member has {len(factors)} factors, expected {len(dims)}")
+            raise InputError(f"member has {len(factors)} factors, expected {len(dims)}")
         for f, d in zip(factors, dims):
             if f.shape != (d,):
-                raise MalformedDocumentError(f"factor of length {f.shape[0]} does not match dim {d}")
-    return UPB([ProductState(factors) for factors in members], dims=dims)
+                raise InputError(f"factor of length {f.shape[0]} does not match dim {d}")
+    return UPB([ProductState(factors) for factors in members])
 
 
 def dumps_report(report: dict) -> str:

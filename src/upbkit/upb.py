@@ -70,7 +70,8 @@ class ProductState:
 
 
 class UPB:
-    """An ordered orthonormal family of product states over declared dims.
+    """An ordered orthonormal family of product states; its ``dims`` are the
+    members' party dimensions, which must agree.
 
     Pairwise orthonormality (within 1e-10) is enforced at construction; the
     unextendibility claim is checked separately by :func:`validate`, which
@@ -79,15 +80,13 @@ class UPB:
 
     __slots__ = ("dims", "members", "span_basis", "complement_basis")
 
-    def __init__(self, members: Sequence[ProductState], dims: Sequence[int] | None = None):
+    def __init__(self, members: Sequence[ProductState]):
         members = tuple(members)
         if not members:
             raise ValueError("a UPB needs at least one member")
         mdims = members[0].dims
         if any(m.dims != mdims for m in members):
             raise ValueError("members have inconsistent party dimensions")
-        if dims is not None and tuple(int(d) for d in dims) != mdims:
-            raise ValueError(f"declared dims {tuple(dims)} do not match members {mdims}")
         stack = np.array([m.tensor for m in members])
         gram_err = orthonormality_error(stack)
         if not gram_err <= ORTHONORMALITY_TOL:
@@ -178,7 +177,7 @@ def build_canonical(angles: CanonicalAngles) -> UPB:
         ProductState([a, KET1, perp_qubit(c)]),
         ProductState([perp_qubit(a), perp_qubit(b), KET1]),
     ]
-    return UPB(members, dims=(2, 2, 2))
+    return UPB(members)
 
 
 def shifts() -> UPB:
@@ -191,7 +190,7 @@ def shifts() -> UPB:
         ProductState([plus, KET1, minus]),
         ProductState([minus, plus, KET1]),
     ]
-    return UPB(members, dims=(2, 2, 2))
+    return UPB(members)
 
 
 def state_of(upb: UPB) -> DensityMatrix:
@@ -343,4 +342,4 @@ def scrambled(upb: UPB, rng: np.random.Generator) -> tuple[UPB, tuple[np.ndarray
     for pos, j in enumerate(order):
         members[pos] = ProductState([u @ f for u, f in zip(us, upb.members[j].factors)])
         perm[j] = pos
-    return UPB(members, dims=upb.dims), tuple(us), tuple(perm)
+    return UPB(members), tuple(us), tuple(perm)

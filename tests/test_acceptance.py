@@ -13,7 +13,6 @@ import pytest
 from conftest import canonical_form, heavy_classes, heavy_parties, random_separable, random_state, trace_distance
 from upbkit import (
     CanonicalAngles,
-    PartitionCut,
     build_canonical,
     canonicalize,
     equivalent,
@@ -96,8 +95,8 @@ def test_criterion_2_ppt_on_every_cut(upbs):
     with criterion(2, "partial transposes PSD across all three bipartite cuts"):
         for u in upbs:
             rho = state_of(u)
-            for cut in CUTS:
-                pt = partial_transpose(rho, PartitionCut(*cut))
+            for _, right in CUTS:
+                pt = partial_transpose(rho, right)
                 assert np.linalg.eigvalsh(pt).min() >= -1e-10
 
 
@@ -220,8 +219,8 @@ def test_criterion_8_boundary_limits(gap_pair):
             assert distances[0] > distances[1] > distances[2]
             assert distances[2] <= 1e-4
             assert span_overlap(target, limit) > 0
-            for cut in CUTS:
-                pt = partial_transpose(limit, PartitionCut(*cut))
+            for _, right in CUTS:
+                pt = partial_transpose(limit, right)
                 assert np.linalg.eigvalsh(pt).min() >= -1e-10
 
 

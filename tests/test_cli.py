@@ -14,8 +14,8 @@ from upbkit import upb as upb_module
 from upbkit.cli import main
 from upbkit.filtering import EquivalentPairError, GapSearchConfig
 from upbkit.linalg import orthonormality_error
-from upbkit.product_search import SearchConfig, Subspace, normalize_partition
-from upbkit.serialize import InputError, MalformedDocumentError, dumps_report, upb_from_document, upb_to_document
+from upbkit.product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
+from upbkit.serialize import InputError, dumps_report, upb_from_document, upb_to_document
 from upbkit.upb import UPB, CanonicalAngles, ProductState, build_canonical, canonicalize, shifts
 
 SHIFTS_CLASS = "canonical:1.5707963267948966,1.5707963267948966,1.5707963267948966"
@@ -206,7 +206,6 @@ class TestInputErrors:
 
     def test_input_error_is_a_value_error(self):
         assert issubclass(InputError, ValueError)
-        assert issubclass(MalformedDocumentError, InputError)
         assert issubclass(EquivalentPairError, InputError)
 
     @pytest.mark.parametrize("check", [
@@ -224,7 +223,7 @@ class TestInputErrors:
         lambda: GapSearchConfig(seed=-1),
         lambda: GapSearchConfig(slack=float("inf")),
         lambda: qutrit.extra_product_vectors(shifts()),
-        lambda: Subspace((2, 2), np.zeros((4, 0))),
+        lambda: find_product_vectors(Subspace((2, 2), np.zeros((4, 0)))),
     ], ids=[
         "angles", "canonicalize-kind", "canonicalize-boundary", "canonicalize-partner",
         "grid", "tol", "iterations", "search-seed", "partition-cover", "partition-groups",

@@ -43,7 +43,7 @@ from upbkit.filtering import (
     _witness_sweep,
     _witness_value,
 )
-from upbkit.linalg import PartitionCut, _sweeps, kron_all, partial_transpose
+from upbkit.linalg import _sweeps, kron_all, partial_transpose
 from upbkit.product_search import (
     SearchConfig,
     Subspace,
@@ -310,14 +310,14 @@ class TestDegenerateFilters:
     def test_rank_one_first_factor_preserves_ppt(self, shifts_class_upb):
         rng = np.random.default_rng(47)
         rho = state_of(shifts_class_upb)
-        cut = PartitionCut((0,), (1, 2))
+        right = (1, 2)
         for _ in range(20):
             factors = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3)]
             factors[0] = np.outer(random_state(rng), random_state(rng).conj())
             state, p = apply_filter(LocalFilter.from_raw(factors), rho)
             if state is None:
                 continue
-            assert np.linalg.eigvalsh(partial_transpose(state, cut)).min() >= -1e-10
+            assert np.linalg.eigvalsh(partial_transpose(state, right)).min() >= -1e-10
 
 
 class TestBoundaryLimit:

@@ -7,7 +7,6 @@ from conftest import random_density_matrix, trace_distance
 from upbkit import (
     CanonicalAngles,
     DensityMatrix,
-    PartitionCut,
     build_canonical,
     complement_basis,
     fidelity,
@@ -91,34 +90,36 @@ class TestPartialTranspose:
         a = random_density_matrix(rng, (2,))
         b = random_density_matrix(rng, (4,))
         rho = DensityMatrix((2, 4), np.kron(a.matrix, b.matrix))
-        pt = partial_transpose(rho, PartitionCut((0,), (1,)))
+        pt = partial_transpose(rho, (1,))
         w = np.linalg.eigvalsh(pt)
         assert w.min() > -1e-12
         assert np.abs(np.sort(w) - np.sort(np.linalg.eigvalsh(rho.matrix))).max() < 1e-12
 
     def test_bell_negative_eigenvalue(self):
-        pt = partial_transpose(bell_state(), PartitionCut((0,), (1,)))
+        pt = partial_transpose(bell_state(), (1,))
         assert abs(np.linalg.eigvalsh(pt).min() + 0.5) < 1e-12
 
     def test_bound_entangled_state_is_ppt_on_every_cut(self):
         rho = state_of(shifts())
-        for cut in (((0,), (1, 2)), ((1,), (0, 2)), ((2,), (0, 1))):
-            pt = partial_transpose(rho, PartitionCut(*cut))
+        for right in ((1, 2), (0, 2), (0, 1)):
+            pt = partial_transpose(rho, right)
             assert np.linalg.eigvalsh(pt).min() >= -1e-10
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(3)
         rho = random_density_matrix(rng, (2, 2, 2))
-        cut = PartitionCut((0,), (1, 2))
+        right = (1, 2)
         back = partial_transpose(
-            partial_transpose(rho, cut), cut, dims=(2, 2, 2)
+            partial_transpose(rho, right), right, dims=(2, 2, 2)
         )
         assert np.array_equal(back, rho.matrix)
 
     def test_invalid_cut(self):
+        # an empty side, all parties, and a party out of range
         rho = random_density_matrix(np.random.default_rng(4), (2, 2, 2))
-        with pytest.raises(ValueError):
-            partial_transpose(rho, PartitionCut((0,), (1,)))
+        for parties in ((), (0, 1, 2), (3,)):
+            with pytest.raises(ValueError):
+                partial_transpose(rho, parties)
 
 
 class TestEigh:
@@ -169,13 +170,13 @@ class TestFidelityProjectorForm:
 
 class TestComplementBasis:
     def test_single_qubit(self):
-        comp = complement_basis([np.array([1.0, 0.0])])
+        comp = complement_basis(np.array([[1.0], [0.0]]))
         assert comp.shape == (2, 1)
         assert abs(abs(comp[1, 0]) - 1) < 1e-14
 
     def test_upb_members(self):
         u = shifts()
-        comp = complement_basis([m.tensor for m in u.members])
+        comp = complement_basis(u.span_basis)
         assert comp.shape == (8, 4)
         assert np.abs(comp.conj().T @ comp - np.eye(4)).max() < 1e-12
         for m in u.members:
@@ -185,13 +186,13 @@ class TestComplementBasis:
         from upbkit.qutrit import bundled_upb
 
         tiles = bundled_upb("tiles")
-        comp = complement_basis([m.tensor for m in tiles.members])
+        comp = complement_basis(tiles.span_basis)
         assert comp.shape == (9, 4)
 
     def test_rank_deficient_rejected(self):
         v = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
-            complement_basis([v, v])
+            complement_basis(np.column_stack([v, v]))
 
 
 class TestDensityMatrixInvariants:

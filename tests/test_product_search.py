@@ -24,6 +24,7 @@ from upbkit.product_search import (
     _qubit_lowest,
 )
 from upbkit.qutrit import bundled_upb
+from upbkit.serialize import InputError
 
 TRIPARTITE = [(0,), (1,), (2,)]
 CUTS = ([(0,), (1, 2)], [(1,), (0, 2)], [(2,), (0, 1)])
@@ -91,7 +92,7 @@ def product_subspace(rng, dims, partition, n_products, n_random) -> Subspace:
         for _ in range(n_products)
     ]
     cols += [random_vector(rng, total) for _ in range(n_random)]
-    return Subspace.orthonormalized(dims, np.column_stack(cols))
+    return Subspace(dims, np.linalg.qr(np.column_stack(cols))[0])
 
 
 class TestResidual:
@@ -181,9 +182,14 @@ class TestFindProductVectors:
                 assert not all(ov > 1 - 1e-6 for ov in overlaps)
 
     def test_full_space_rejected(self):
-        sub = Subspace((2, 2), np.eye(4))
-        with pytest.raises(ValueError):
-            find_product_vectors(sub, [(0,), (1,)])
+        # the identity basis, and the complement of a zero-dimensional subspace
+        for sub in (Subspace((2, 2), np.eye(4)), Subspace((2, 2), np.zeros((4, 0))).complement()):
+            with pytest.raises(InputError, match="^subspace is the full space; every product vector lies in it$"):
+                find_product_vectors(sub, [(0,), (1,)])
+
+    def test_zero_dimensional_subspace_rejected(self):
+        with pytest.raises(InputError, match="^subspace is zero-dimensional: there is no product vector to find$"):
+            find_product_vectors(Subspace((2, 2), np.zeros((4, 0))))
 
     @pytest.mark.parametrize("angles, cut", [
         # near angle 0, and the three cuts of a corner triple near pi
@@ -291,7 +297,7 @@ class TestRefine:
         starts = random_starts(rng, n_starts, _group_dims(dims, partition))
         product = _interleave(dims, partition, [s[:1] for s in starts])[0]
         cols = [product] + [random_vector(rng, int(np.prod(dims))) for _ in range(3)]
-        return starts, Subspace.orthonormalized(dims, np.column_stack(cols))
+        return starts, Subspace(dims, np.linalg.qr(np.column_stack(cols))[0])
 
     def test_batch_retires_down_to_a_single_start(self):
         # six starts on the subspace's one product vector retire after a
@@ -453,11 +459,3 @@ class TestConfigAndTypes:
             tensor = np.einsum("b,ac->abc", b, ac.reshape(2, 2)).reshape(-1)
             assert abs(abs(np.vdot(tensor, member.tensor)) - 1) < 1e-8
             assert residual(h.factors, sub, h.partition) < 1e-8
-
-    def test_orthonormalized_constructor(self):
-        rng = np.random.default_rng(34)
-        vecs = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        sub = Subspace.orthonormalized((2, 2, 2), vecs)
-        assert sub.dim == 3
-        with pytest.raises(ValueError):
-            Subspace.orthonormalized((2, 2, 2), np.column_stack([vecs[:, 0], vecs[:, 0]]))

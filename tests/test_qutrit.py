@@ -7,7 +7,7 @@ import pytest
 
 from upbkit import validate
 from upbkit.cli import main
-from upbkit.linalg import PartitionCut, partial_transpose
+from upbkit.linalg import partial_transpose
 from upbkit.product_search import residual, Subspace
 from upbkit.qutrit import QUTRIT_SEARCH, bundled_upb, extra_product_vectors
 from upbkit.serialize import InputError, upb_from_document, upb_to_document
@@ -120,5 +120,5 @@ class TestQutritStates:
             assert abs(rho.matrix.trace() - 1) < 1e-12
             assert w.min() > -1e-12
             assert (w > 1e-10).sum() == 4
-            pt = partial_transpose(rho, PartitionCut((0,), (1,)))
+            pt = partial_transpose(rho, (1,))
             assert np.linalg.eigvalsh(pt).min() >= -1e-10
