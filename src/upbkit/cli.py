@@ -26,7 +26,7 @@ import numpy as np
 from . import qutrit
 from .filtering import GapSearchConfig, certify_gap
 from .graphs import enumerate_colorings, extension_split
-from .product_search import SearchConfig, Subspace, find_product_vectors
+from .product_search import DEFAULT_SEED, SearchConfig, Subspace, find_product_vectors
 from .serialize import (
     SCHEMA_VERSION,
     InputError,
@@ -37,8 +37,6 @@ from .serialize import (
     vector_to_lists,
 )
 from .upb import canonicalize, match_canonical, state_of, validate
-
-DEFAULT_SEED = SearchConfig().seed
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

@@ -98,10 +98,6 @@ BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
 ARGMIN_TIE_TOL = 1e-12
 
 
-class EquivalentPairError(InputError):
-    """Raised when a gap certificate is requested for an equivalent pair."""
-
-
 def _top_gram_eigenvalue(filters: Sequence[LocalFilter], scales) -> float:
     """Largest eigenvalue of ``sum_k s_k^2 X_k^dag X_k``."""
     total = np.zeros((8, 8), dtype=complex)
@@ -146,11 +142,6 @@ class LocalFilter:
             out.append(f / s)
         return cls(out)
 
-    @classmethod
-    def identity(cls) -> "LocalFilter":
-        eye = np.eye(2, dtype=complex)
-        return cls([eye, eye, eye])
-
     @property
     def operator(self) -> np.ndarray:
         return kron_all(self.factors)
@@ -185,11 +176,9 @@ class SeparableSuperoperator:
         raise AttributeError("SeparableSuperoperator is immutable")
 
     @classmethod
-    def from_filters(cls, filters: Sequence[LocalFilter], scales: Sequence[float] | None = None) -> "SeparableSuperoperator":
+    def from_filters(cls, filters: Sequence[LocalFilter], scales: Sequence[float]) -> "SeparableSuperoperator":
         """Rescale the given family so the sum constraint holds with equality."""
         filters = tuple(filters)
-        if scales is None:
-            scales = [1.0] * len(filters)
         scales = np.asarray([float(s) for s in scales])
         top = _top_gram_eigenvalue(filters, scales)
         if top <= 0:
@@ -224,8 +213,7 @@ def apply_filter(x: LocalFilter, rho: DensityMatrix) -> tuple[DensityMatrix | No
     undefined: ``(None, p)`` is returned.  Boundary behavior is handled in
     closed form by :func:`boundary_limit`, never by dividing by a tiny p.
     """
-    op = x.operator
-    return _normalized(rho.dims, op @ rho.matrix @ op.conj().T)
+    return apply_separable(SeparableSuperoperator([x], [1.0]), rho)
 
 
 def apply_separable(e: SeparableSuperoperator, rho: DensityMatrix) -> tuple[DensityMatrix | None, float]:
@@ -236,14 +224,13 @@ def apply_separable(e: SeparableSuperoperator, rho: DensityMatrix) -> tuple[Dens
     return _normalized(rho.dims, total)
 
 
-def span_overlap(target: UPB, rho: DensityMatrix | np.ndarray) -> float:
+def span_overlap(target: UPB, rho: DensityMatrix) -> float:
     """Total weight of ``rho`` on the target UPB's span, ``sum_j <T_j|rho|T_j>``.
 
     Zero exactly when the state is supported inside the target's bound
     entangled state; strictly positive everywhere on an inequivalent orbit.
     """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    value = float(np.einsum("ij,ji->", target.span_projector, mat).real)
+    value = float(np.einsum("ij,ji->", target.span_projector, rho.matrix).real)
     return min(max(value, 0.0), 1.0)
 
 
@@ -362,18 +349,6 @@ class GapCertificate:
     def consistent(self) -> bool:
         return self.fidelity_max <= 1.0 - self.epsilon + self.config.slack
 
-    @property
-    def perp_weight_bound(self) -> float:
-        return 1.0 - self.delta_min
-
-    @property
-    def perp_root_trace_bound(self) -> float:
-        return 2.0 * math.sqrt(max(1.0 - self.delta_min, 0.0))
-
-    @property
-    def fidelity_bound(self) -> float:
-        return 1.0 - self.delta_min / 2.0
-
     def to_document(self) -> dict:
         return {
             "status": self.status,
@@ -388,10 +363,10 @@ class GapCertificate:
             "chain": {
                 "span_overlap_at_argmax": self.span_overlap_at_argmax,
                 "perp_weight_at_argmax": self.perp_weight_at_argmax,
-                "perp_weight_bound": self.perp_weight_bound,
+                "perp_weight_bound": 1.0 - self.delta_min,
                 "perp_root_trace_at_argmax": self.perp_root_trace_at_argmax,
-                "perp_root_trace_bound": self.perp_root_trace_bound,
-                "fidelity_bound": self.fidelity_bound,
+                "perp_root_trace_bound": 2.0 * math.sqrt(max(1.0 - self.delta_min, 0.0)),
+                "fidelity_bound": 1.0 - self.delta_min / 2.0,
             },
             "optimizer": {
                 "seed": self.config.seed,
@@ -735,7 +710,7 @@ def certify_gap(source: UPB, target: UPB, config: GapSearchConfig | None = None)
     config = config or GapSearchConfig()
     canon_s, canon_t = canonicalize(source), canonicalize(target)
     if match_canonical(source, target, canon_s, canon_t) is not None:
-        raise EquivalentPairError("source and target are equivalent; the gap is undefined")
+        raise InputError("source and target are equivalent; the gap is undefined")
     delta, argmin_kind, interior_optima, boundary_optima = minimize_span_overlap(source, target, config)
     fmax, argmax_state, fidelity_optima = maximize_fidelity(source, target, config)
     overlap_at_argmax = span_overlap(target, argmax_state)

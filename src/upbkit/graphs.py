@@ -29,6 +29,8 @@ K5_EDGES: tuple[tuple[int, int], ...] = tuple(
 )
 
 PARTY_LABELS = ("A", "B", "C")
+REALIZE_MARGIN = 0.05
+REALIZE_ATTEMPTS = 100
 
 
 def _normalize_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -178,12 +180,7 @@ def _random_qubit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def realize_coloring(
-    coloring: EdgeColoring,
-    seed: int,
-    margin: float = 0.05,
-    attempts: int = 100,
-):
+def realize_coloring(coloring: EdgeColoring, seed: int):
     """Realize a surviving coloring as five mutually orthogonal three-qubit
     product states.
 
@@ -191,8 +188,9 @@ def realize_coloring(
     (qubit states alternate between a random state and its perpendicular), so
     labeled orthogonalities hold exactly.  The non-degeneracy margin applies
     to the free relations: overlaps across different components of the same
-    party are resampled into (margin, 1 - margin).  Components draw their
-    states in order of their smallest vertex.
+    party are resampled, up to ``REALIZE_ATTEMPTS`` times per party, into
+    ``(REALIZE_MARGIN, 1 - REALIZE_MARGIN)``.  Components draw their states
+    in order of their smallest vertex.
     """
     from .upb import ProductState, perp_qubit
 
@@ -204,18 +202,18 @@ def realize_coloring(
             raise RealizationError("party graph has an odd cycle; not realizable")
         roots = sorted({root for root, _ in sides})
         free = [(i, j) for i, j in K5_EDGES if sides[i][0] != sides[j][0]]
-        for _ in range(attempts):
+        for _ in range(REALIZE_ATTEMPTS):
             pairs = {}
             for root in roots:
                 v = _random_qubit(rng)
                 pairs[root] = (v, perp_qubit(v))
             states = [pairs[root][side] for root, side in sides]
-            if all(margin < abs(np.vdot(states[i], states[j])) < 1 - margin for i, j in free):
+            if all(REALIZE_MARGIN < abs(np.vdot(states[i], states[j])) < 1 - REALIZE_MARGIN for i, j in free):
                 party_states.append(states)
                 break
         else:
             raise RealizationError(
-                f"could not realize party {party} with margin {margin} in {attempts} attempts"
+                f"could not realize party {party} with margin {REALIZE_MARGIN} in {REALIZE_ATTEMPTS} attempts"
             )
     members = [
         ProductState([party_states[p][v] for p in range(3)]) for v in range(5)

@@ -61,10 +61,11 @@ def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
     whole CLI reports (the ``result`` of ``upbkit build``).
 
-    Faults of the document itself, a factor that does not match ``dims``
-    among them, and canonical angles outside (0, pi) raise
-    :class:`InputError`; a well-formed document whose members are not an
-    orthonormal family raises ``ValueError``.  The UPB's dims are its members'.
+    Faults of the document itself (an empty ``dims`` or one with an entry
+    below 1, a factor that does not match ``dims``) and canonical angles
+    outside (0, pi) raise :class:`InputError`; a well-formed document whose
+    members are not an orthonormal family raises ``ValueError``.  The UPB's
+    dims are its members'.
     """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
 
@@ -86,6 +87,8 @@ def upb_from_document(doc: dict):
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed UPB document: {exc}") from exc
+    if not dims or min(dims) < 1:
+        raise InputError(f"dims {list(dims)} must be a non-empty list of positive sizes")
     if not members:
         raise InputError("a UPB document needs at least one member")
     for factors in members:

@@ -234,10 +234,7 @@ def canonicalize(upb: UPB) -> tuple[CanonicalAngles, EquivalenceWitness]:
     """
     if upb.dims != (2, 2, 2) or upb.n != 4:
         raise InputError(f"{upb!r} is not a four-member three-qubit UPB")
-    base = [
-        np.array([[np.conj(x[0]), np.conj(x[1])], [-x[1], x[0]]], dtype=complex)
-        for x in upb.members[0].factors
-    ]
+    base = [np.array([x, perp_qubit(x)]).conj() for x in upb.members[0].factors]
     rotated = [[b @ f for b, f in zip(base, m.factors)] for m in upb.members]
     partners = [[k for k in (1, 2, 3) if abs(rotated[k][p][0]) <= BOUNDARY_TOL] for p in range(3)]
     if all(partners) and max(map(len, partners)) > 1:

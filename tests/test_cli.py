@@ -12,7 +12,7 @@ import upbkit
 from upbkit import cli, qutrit
 from upbkit import upb as upb_module
 from upbkit.cli import main
-from upbkit.filtering import EquivalentPairError, GapSearchConfig
+from upbkit.filtering import GapSearchConfig
 from upbkit.linalg import orthonormality_error
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
 from upbkit.serialize import InputError, dumps_report, upb_from_document, upb_to_document
@@ -144,6 +144,9 @@ class TestExitCodes:
             {"dims": [2, 2, 2], "members": [1]},
             {"canonical": [0.0, 1.0, 1.0]},
             {"dims": [2, 2, 2], "members": []},
+            {"dims": [], "members": [[]]},
+            {"dims": [0], "members": [[[]]]},
+            {"dims": [2, 0], "members": [[[[1, 0], [0, 0]], []]]},
             nan_factor,
             long_factor,
         )
@@ -206,7 +209,6 @@ class TestInputErrors:
 
     def test_input_error_is_a_value_error(self):
         assert issubclass(InputError, ValueError)
-        assert issubclass(EquivalentPairError, InputError)
 
     @pytest.mark.parametrize("check", [
         lambda: CanonicalAngles(0.0, 1.0, 1.0),

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from upbkit.filtering import (
     ARGMIN_TIE_TOL,
     BOUNDARY_BUDGET,
     BOUNDARY_STARTS,
-    EquivalentPairError,
     GapSearchConfig,
     LocalFilter,
     SeparableSuperoperator,
@@ -53,6 +53,7 @@ from upbkit.product_search import (
     _unit_starts,
     find_product_vectors,
 )
+from upbkit.serialize import InputError
 from upbkit.upb import perp_qubit, state_of
 
 # regression constants recorded at first computation (deterministic seeds)
@@ -150,7 +151,7 @@ def range_subspace(state: DensityMatrix, tol: float = 1e-10) -> Subspace:
 
 class TestLocalFilter:
     def test_identity(self):
-        f = LocalFilter.identity()
+        f = LocalFilter([np.eye(2)] * 3)
         assert np.array_equal(f.operator, np.eye(8))
 
     def test_from_raw_normalizes(self):
@@ -171,20 +172,20 @@ class TestLocalFilter:
 
 class TestSeparableSuperoperator:
     def test_sum_constraint_enforced(self):
-        f = LocalFilter.identity()
+        f = LocalFilter([np.eye(2)] * 3)
         with pytest.raises(ValueError):
             SeparableSuperoperator([f, f], [1.0, 1.0])
 
     def test_from_filters_normalizes(self):
         rng = np.random.default_rng(41)
         filters = [random_local_filter(rng) for _ in range(5)]
-        e = SeparableSuperoperator.from_filters(filters)
+        e = SeparableSuperoperator.from_filters(filters, [1.0] * len(filters))
         total = sum(op.conj().T @ op for op in e.kraus_operators())
         top = np.linalg.eigvalsh(total).max()
         assert top <= 1 + 1e-9
 
     def test_ensemble_cap(self):
-        f = LocalFilter.identity()
+        f = LocalFilter([np.eye(2)] * 3)
         with pytest.raises(ValueError):
             SeparableSuperoperator([f] * 8193, [0.0] * 8193)
 
@@ -192,7 +193,7 @@ class TestSeparableSuperoperator:
 class TestApplyFilter:
     def test_identity(self, shifts_class_upb):
         rho = state_of(shifts_class_upb)
-        state, p = apply_filter(LocalFilter.identity(), rho)
+        state, p = apply_filter(LocalFilter([np.eye(2)] * 3), rho)
         assert abs(p - 1) < 1e-12
         assert np.abs(state.matrix - rho.matrix).max() < 1e-12
 
@@ -219,7 +220,7 @@ class TestApplyFilter:
 class TestApplySeparable:
     def test_identity_channel(self, shifts_class_upb):
         rho = state_of(shifts_class_upb)
-        e = SeparableSuperoperator([LocalFilter.identity()], [1.0])
+        e = SeparableSuperoperator([LocalFilter([np.eye(2)] * 3)], [1.0])
         state, p = apply_separable(e, rho)
         assert abs(p - 1) < 1e-12
         assert np.abs(state.matrix - rho.matrix).max() < 1e-12
@@ -281,10 +282,10 @@ class TestSpanOverlap:
                 total += term
                 p_sum += p_l
                 if p_l > 1e-14:
-                    rhs += p_l * span_overlap(third_class_upb, term / p_l)
+                    rhs += p_l * span_overlap(third_class_upb, DensityMatrix((2, 2, 2), term / p_l))
             if p_sum <= 1e-14:
                 continue
-            lhs = p_sum * span_overlap(third_class_upb, total / p_sum)
+            lhs = p_sum * span_overlap(third_class_upb, DensityMatrix((2, 2, 2), total / p_sum))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -889,7 +890,7 @@ class TestCertify:
         from upbkit.upb import scrambled
 
         other, _, _ = scrambled(shifts_class_upb, np.random.default_rng(53))
-        with pytest.raises(EquivalentPairError):
+        with pytest.raises(InputError, match="^source and target are equivalent; the gap is undefined$"):
             certify_gap(shifts_class_upb, other, FAST)
 
     def test_certificate_fields(self, shifts_class_upb, third_class_upb):
@@ -900,8 +901,8 @@ class TestCertify:
         assert cert.consistent
         assert cert.fidelity_max <= 1 - cert.epsilon + cert.config.slack
         assert cert.span_overlap_at_argmax >= cert.delta_min
-        assert cert.perp_weight_at_argmax <= cert.perp_weight_bound + 1e-12
-        assert cert.perp_root_trace_at_argmax <= cert.perp_root_trace_bound + 1e-9
+        assert cert.perp_weight_at_argmax <= 1 - cert.delta_min + 1e-12
+        assert cert.perp_root_trace_at_argmax <= 2 * math.sqrt(1 - cert.delta_min) + 1e-9
         assert abs(cert.perp_root_trace_at_argmax / 2 - cert.fidelity_max) < 1e-9
         assert len(cert.interior_optima) == FAST.restarts
         assert len(cert.fidelity_optima) == FAST.restarts

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import canonical_form, heavy_classes, heavy_parties
+from upbkit import graphs
 from upbkit.graphs import (
     K5_EDGES,
     PARTY_LABELS,
@@ -169,9 +170,11 @@ class TestRealizeColoring:
             hit = is_extendible(members)
             assert hit is not None and hit.residual <= 1e-9
 
-    def test_unrealizable_margin_fails(self, scan):
+    def test_unrealizable_margin_fails(self, scan, monkeypatch):
+        monkeypatch.setattr(graphs, "REALIZE_MARGIN", 0.49)
+        monkeypatch.setattr(graphs, "REALIZE_ATTEMPTS", 5)
         with pytest.raises(RealizationError):
-            realize_coloring(scan.survivors[0], seed=3, margin=0.49, attempts=5)
+            realize_coloring(scan.survivors[0], seed=3)
 
 
 class TestExtensionSplit:
