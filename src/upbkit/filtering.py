@@ -63,6 +63,19 @@ restart leaves the batch once a sweep improves its value by at most
 ``_STALL_GAIN`` (1e-14).  The rows equal those of sweeping every restart to
 its cap with the same stop; the probe's starts end as they would without
 the handed-off restarts beside them.
+
+*Kernels.*  That equality needs every row's arithmetic to be independent
+of its batch.  Each 2x2 product is two elementwise products
+(:func:`_product2`): a factor applied to one party, the whitening ``L^-1
+W``, ``Z L^-1``, ``A W`` and the step ``conj(c) adj(G)``.  The products
+whose left operand the whole batch shares, ``T^dag Y``, ``conj(T) U^T``
+and the witness step's lifted span times ``L^-1 W``, are one GEMM over the
+batch's columns (:func:`_shared_left`), equal to the per-row product bit
+for bit at the pools' four columns per row.  The rest stay one BLAS call
+per row, which no batch can change: the Grams, with ``conj(c)`` from the
+same stacked product ``[W; conj(tu)] W^dag`` in a fidelity step, the 4x4
+forms, the polar factor, and ``S^dag Y`` in :func:`_witness_value`, which
+also scores images of other column counts.
 """
 
 from __future__ import annotations
@@ -396,9 +409,9 @@ def _unit_spectral(fac: np.ndarray) -> np.ndarray:
     :func:`maximize_fidelity` re-normalizes through
     :meth:`LocalFilter.from_raw` before its dense re-score."""
     tr = (fac.real ** 2 + fac.imag ** 2).sum(axis=(-2, -1))
-    det = np.abs(fac[..., 0, 0] * fac[..., 1, 1] - fac[..., 0, 1] * fac[..., 1, 0]) ** 2
-    disc = np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))
-    top = np.sqrt(np.maximum((tr + disc) / 2, 1e-300))
+    cross = fac[..., 0, :] * fac[..., 1, ::-1]  # A_00 A_11 and A_01 A_10
+    det = np.abs(cross[..., 0] - cross[..., 1]) ** 2
+    top = np.sqrt(np.maximum((tr + np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2, 1e-300))
     return fac / top[..., None, None]
 
 
@@ -411,13 +424,30 @@ def _interior_starts(rng: np.random.Generator, restarts: int) -> np.ndarray:
     return _unit_spectral(fac)
 
 
+def _product2(f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``f @ t`` over the second-to-last axis of an (n or 1, p, 2, m) ``t``,
+    for (n, 2, 2) ``f``: (n, p, 2, m), as two elementwise products."""
+    f = f[:, None, :, :, None]
+    return f[:, :, :, 0] * t[:, :, None, 0] + f[:, :, :, 1] * t[:, :, None, 1]
+
+
+def _shared_left(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for each matrix of an (n, m, k) batch ``b``, as one GEMM
+    over the batch's ``n k`` columns, C-contiguous like ``a @ b``.
+
+    With ``k`` a multiple of the BLAS kernel's column block, as the pools'
+    ``k = 4`` is, every matrix's columns take the same kernel path, so the
+    result equals the per-matrix product bit for bit and no row depends on
+    its batch (:func:`~upbkit.linalg._sweeps`).  Other ``k`` can differ in
+    the last digits: with OpenBLAS 0.3.31 on an AVX-512 x86-64 host, every
+    ``k`` from 1 to 8 but 4 and 8 did."""
+    n, m, k = b.shape
+    return np.ascontiguousarray((a @ b.transpose(1, 0, 2).reshape(m, -1)).reshape(-1, n, k).transpose(1, 0, 2))
+
+
 def _apply_party(f: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
     """(n, 2, 2) factors applied to party ``q`` of an (n or 1, 8, k) array."""
-    t = m.reshape(m.shape[0], 2 ** q, 2, -1)
-    f = f[:, :, :, None, None]
-    out = np.empty((len(f), 2 ** q, 2, t.shape[-1]), dtype=complex)
-    out[:, :, 0], out[:, :, 1] = (f[:, i, 0] * t[:, :, 0] + f[:, i, 1] * t[:, :, 1] for i in (0, 1))
-    return out.reshape(len(f), 8, -1)
+    return _product2(f, m.reshape(m.shape[0], 2 ** q, 2, -1)).reshape(len(f), 8, -1)
 
 
 def _apply_factors(fac: np.ndarray, basis: np.ndarray, skip: int | None = None) -> np.ndarray:
@@ -437,17 +467,21 @@ def _party_first(m: np.ndarray, q: int) -> np.ndarray:
     return m.reshape(m.shape[0], 2, 2, 2, -1).transpose(axes).reshape(m.shape[0], 2, -1)
 
 
-def _party_gram(partial: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
-    """``W``, the (n, 8, k) image ``partial`` of ``C`` under the other two
-    factors as (n, 2, 4k) with party ``q`` first, its Gram ``W W^dag``, the
-    Gram's determinant, and whether its condition number ``top^2 / det`` is
-    at most 1e12."""
-    w = _party_first(partial, q)
-    gram = w @ w.conj().transpose(0, 2, 1)
-    tr = (gram[:, 0, 0] + gram[:, 1, 1]).real
-    det = (gram[:, 0, 0] * gram[:, 1, 1]).real - np.abs(gram[:, 0, 1]) ** 2
+def _party_gram(stack: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    """For (n, s, 8, k) arrays ``stack`` whose first is the image of ``C``
+    under the other two factors: ``W``, that image as (n, 2, 4k) with party
+    ``q``'s index first; ``M W^dag`` for ``M``, all ``s`` arranged so and
+    stacked, one (n, 2s, 2) product whose top block is the Gram ``W
+    W^dag``; the Gram's determinant; and whether its condition number
+    ``top^2 / det`` is at most 1e12."""
+    rows = _party_first(stack.reshape(-1, 8, stack.shape[-1]), q).reshape(len(stack), -1, 4 * stack.shape[-1])
+    w = rows[:, :2]
+    prod = rows @ w.conj().transpose(0, 2, 1)
+    g00, g11 = prod[:, 0, 0].real, prod[:, 1, 1].real
+    det = g00 * g11 - np.abs(prod[:, 0, 1]) ** 2
+    tr = g00 + g11
     top = (tr + np.sqrt(np.maximum(tr * tr - 4 * det, 0.0))) / 2
-    return w, gram, det, det > 1e-12 * top * top
+    return w, prod, det, det > 1e-12 * top * top
 
 
 def _support_weight(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -488,18 +522,19 @@ def _witness_step(fac: np.ndarray, value: np.ndarray, prob: np.ndarray, q: int, 
     factors with their witness value and probability.
     """
     n, k = fac.shape[0], partial.shape[-1]
-    w, gram, det, ok = _party_gram(partial, q)
+    w, gram, det, ok = _party_gram(partial[:, None], q)
     live = ok & (prob >= _FREEZE_PROBABILITY)
-    g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form; identity where not live
+    g00 = np.where(live, gram[:, 0, 0].real, 1.0)  # L^-1 in closed form
     l11 = np.sqrt(np.where(live, det, 1.0) / g00)
     chol_inv = np.zeros((n, 2, 2), dtype=complex)
     chol_inv[:, 0, 0], chol_inv[:, 1, 0], chol_inv[:, 1, 1] = 1 / np.sqrt(g00), -gram[:, 1, 0] / (g00 * l11), 1 / l11
-    white = (chol_inv @ w).reshape(n, 2, 4, k)  # [n, b, rest, column]
+    w = w[:, None]
+    white = _product2(chol_inv, w).reshape(-1, 4, k)  # [(n, b), rest, column]
     # numerator ||R vec(Z)||^2 with R[n, (j, col), (a, b)] = sum_rest conj(rows[(a, rest), j]) white[n, b, rest, col]
-    response = (lifted @ white).reshape(n, 2, 2, -1, k).transpose(0, 3, 4, 2, 1).reshape(n, -1, 4)
+    response = _shared_left(lifted, white).reshape(n, 2, 2, -1, k).transpose(0, 3, 4, 2, 1).reshape(n, -1, 4)
     _, vecs = np.linalg.eigh(response.conj().transpose(0, 2, 1) @ response)
-    trial = _unit_spectral(vecs[:, :, 0].reshape(n, 2, 2) @ chol_inv)
-    trial_value, trial_prob = _witness_value((trial @ w).reshape(n, 8, k), rows)
+    trial = _unit_spectral(_product2(vecs[:, :, 0].reshape(n, 2, 2), chol_inv[:, None])[:, 0])
+    trial_value, trial_prob = _witness_value(_product2(trial, w).reshape(n, 8, k), rows)
     accept = live & (trial_value <= value) & (trial_prob >= _FREEZE_PROBABILITY)
     out = fac.copy()
     out[accept, q] = trial[accept]
@@ -519,7 +554,7 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     lam, vecs = np.linalg.eigh(z.conj().transpose(0, 2, 1) @ z)
     keep = lam > 1e-24 * lam[:, -1:]
-    inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, lam, 1.0)), 0.0)
+    inv_root = keep / np.sqrt(np.where(keep, lam, 1.0))
     unitary = vecs @ (inv_root[:, :, None] * (z @ vecs).conj().transpose(0, 2, 1))
     return (unitary * z.transpose(0, 2, 1)).sum(axis=(1, 2)).real, unitary
 
@@ -527,7 +562,7 @@ def _polar(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fidelity_at(y: np.ndarray, tdag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negative fidelity of each (n, 8, k) image ``Y = X C`` to the state of
     ``T``, and the polar factor ``U`` of ``T^dag Y``, for ``tdag = T^dag``."""
-    nuclear, unitary = _polar(tdag @ y)
+    nuclear, unitary = _polar(_shared_left(tdag, y))
     return _scaled_fidelity(nuclear, y, tdag.shape[0]), unitary
 
 
@@ -550,11 +585,10 @@ def _block_step(fac: np.ndarray, q: int, partial: np.ndarray, tu: np.ndarray) ->
     Restarts whose ``G`` has condition number above 1e12, or whose ``U`` is
     zero, keep their factor.
     """
-    w, gram, _, ok = _party_gram(partial, q)
-    c = _party_first(tu, q) @ w.transpose(0, 2, 1)
-    adjugate = -gram  # G^-1 is the adjugate over det > 0
-    adjugate[:, 0, 0], adjugate[:, 1, 1] = gram[:, 1, 1], gram[:, 0, 0]
-    step = _unit_spectral(c.conj() @ adjugate)
+    _, prod, _, ok = _party_gram(np.concatenate([partial[:, None], tu.conj()[:, None]], axis=1), q)  # [G; conj(c)]
+    adjugate = -prod[:, :2]  # G^-1 is the adjugate over det > 0
+    adjugate[:, 0, 0], adjugate[:, 1, 1] = prod[:, 1, 1], prod[:, 0, 0]
+    step = _unit_spectral(_product2(prod[:, 2:], adjugate[:, None])[:, 0])
     ok &= np.abs(step).max(axis=(1, 2)) > 0
     out = fac.copy()
     out[ok, q] = step[ok]
@@ -592,7 +626,7 @@ def _ascent_sweep(state: tuple, basis: np.ndarray, tdag: np.ndarray) -> tuple[tu
     party 0's image of ``C``, and the end point's image ``Y`` is party 2
     applied to the last step's.  ``tdag`` is ``T^dag``."""
     old, _, unitary, _ = state
-    tu = tdag.T @ unitary.transpose(0, 2, 1)
+    tu = _shared_left(tdag.T, unitary.transpose(0, 2, 1))
     new = _block_step(old, 0, _apply_factors(old, basis, skip=0), tu)
     head = _apply_party(new[:, 0], basis[None], 0)
     new = _block_step(new, 1, _apply_party(new[:, 2], head, 2), tu)

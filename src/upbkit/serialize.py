@@ -61,11 +61,11 @@ def upb_from_document(doc: dict):
     """Build a UPB from a document; accepts the canonical-angle shorthand and
     whole CLI reports (the ``result`` of ``upbkit build``).
 
-    Faults of the document itself (an empty ``dims`` or one with an entry
-    below 1, a factor that does not match ``dims``) and canonical angles
-    outside (0, pi) raise :class:`InputError`; a well-formed document whose
-    members are not an orthonormal family raises ``ValueError``.  The UPB's
-    dims are its members'.
+    Faults of the document itself (a ``dims`` that is not a non-empty list
+    of integers of at least 1, a factor that does not match ``dims``) and
+    canonical angles outside (0, pi) raise :class:`InputError`; a
+    well-formed document whose members are not an orthonormal family raises
+    ``ValueError``.  The UPB's dims are its members'.
     """
     from .upb import UPB, CanonicalAngles, ProductState, build_canonical
 
@@ -83,12 +83,14 @@ def upb_from_document(doc: dict):
             raise InputError(f"canonical angles must be numbers: {exc}") from exc
         return build_canonical(CanonicalAngles(*angles))
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed UPB document: {exc}") from exc
+    if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise InputError(f"dims {dims!r} must be a list of integers")
     if not dims or min(dims) < 1:
-        raise InputError(f"dims {list(dims)} must be a non-empty list of positive sizes")
+        raise InputError(f"dims {dims} must be a non-empty list of positive sizes")
     if not members:
         raise InputError("a UPB document needs at least one member")
     for factors in members:

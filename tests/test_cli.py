@@ -138,6 +138,10 @@ class TestExitCodes:
         nan_factor["members"][1][0][0][0] = float("nan")
         long_factor = upb_to_document(shifts())
         long_factor["members"][1][0].append([0.0, 0.0])
+        # dims entries are JSON integers, not numbers or strings that int() reads as 2
+        fractional, text, boolean = (
+            {**upb_to_document(shifts()), "dims": dims} for dims in ([2.9, 2, 2], ["2", 2, 2], [True, 2, 2])
+        )
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
@@ -149,6 +153,9 @@ class TestExitCodes:
             {"dims": [2, 0], "members": [[[[1, 0], [0, 0]], []]]},
             nan_factor,
             long_factor,
+            fractional,
+            text,
+            boolean,
         )
         for i, doc in enumerate(docs):
             path = tmp_path / f"not_a_upb{i}.json"

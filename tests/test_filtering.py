@@ -28,6 +28,7 @@ from upbkit.filtering import (
     _FREEZE_PROBABILITY,
     _INVALID,
     _apply_factors,
+    _apply_party,
     _ascent_sweep,
     _block_step,
     _collapsed,
@@ -38,6 +39,7 @@ from upbkit.filtering import (
     _party_span,
     _polar,
     _probe_sweep,
+    _shared_left,
     _unit_spectral,
     _witness_step,
     _witness_sweep,
@@ -142,6 +144,16 @@ def recording(call, sizes: list):
         sizes.append(len(state[0]) if isinstance(state, tuple) else len(state))
         return call(state, *args)
     return run
+
+
+def two_half_apply_party(f: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
+    """:func:`_apply_party` with each half of party ``q``'s output formed by
+    its own expression: the reference form of the fused product."""
+    t = m.reshape(m.shape[0], 2 ** q, 2, -1)
+    f = f[:, :, :, None, None]
+    out = np.empty((len(f), 2 ** q, 2, t.shape[-1]), dtype=complex)
+    out[:, :, 0], out[:, :, 1] = (f[:, i, 0] * t[:, :, 0] + f[:, i, 1] * t[:, :, 1] for i in (0, 1))
+    return out.reshape(len(f), 8, -1)
 
 
 def range_subspace(state: DensityMatrix, tol: float = 1e-10) -> Subspace:
@@ -411,6 +423,38 @@ class TestKernels:
             factors[q] = np.eye(2)
             reference = kron_all(factors) @ basis
             assert np.abs(row - reference).max() <= 1e-14 * np.linalg.norm(reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        shape=st.sampled_from([(4, 8, 4), (8, 4, 4), (2, 8, 4), (8, 4, 8)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_left_is_the_per_matrix_product(self, n, shape, seed):
+        # bit for bit at every batch size, so a row's value never depends on
+        # its batch; the pools' products are the first two shapes
+        rng = np.random.default_rng(seed)
+        r, m, k = shape
+        a = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
+        b = rng.standard_normal((n, m, k)) + 1j * rng.standard_normal((n, m, k))
+        out = _shared_left(a, b)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, np.array([a @ x for x in b]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        k=st.integers(1, 8),
+        q=st.sampled_from([0, 1, 2]),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_apply_party_is_the_two_half_form(self, n, k, q, shared, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        rows = 1 if shared else n
+        m = rng.standard_normal((rows, 8, k)) + 1j * rng.standard_normal((rows, 8, k))
+        assert np.array_equal(_apply_party(f, m, q), two_half_apply_party(f, m, q))
 
 
 class TestObjectives:
