@@ -8,6 +8,15 @@ from upbkit import CanonicalAngles, DensityMatrix, build_canonical
 from upbkit.filtering import LocalFilter, SeparableSuperoperator
 from upbkit.graphs import K5_EDGES, PARTY_LABELS, PartyGraph, is_valid_party_graph
 
+# default_rng(77) pair 33: its witness infimum is an interior minimum below
+# the product-state minimum, which few restarts reach
+PAIR_33 = (
+    (0.35155584690440755, 0.932752259065921, 0.6944000128576957),
+    (1.270951206992894, 1.0246653369959153, 1.308131448318956),
+)
+# its certificate's delta_min from canonical inputs at GapSearchConfig(seed=3)
+PAIR_33_DELTA = 0.042185291089053285
+
 
 def random_state(rng, d=2):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

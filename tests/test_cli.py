@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PAIR_33, PAIR_33_DELTA
 import upbkit
 from upbkit import cli, qutrit
 from upbkit import upb as upb_module
@@ -360,6 +361,45 @@ class TestReports:
         captured = capsys.readouterr()
         assert code == 0
         assert "equivalent: True" in captured.out
+
+
+def scrambled_files(tmp_path, pair, seed) -> tuple[str, str]:
+    """Both classes of ``pair`` as ``scrambled`` UPB files, source first."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for name, triple in zip(("source.json", "target.json"), pair):
+        mixed, _, _ = upb_module.scrambled(build_canonical(CanonicalAngles(*triple)), rng)
+        path = tmp_path / name
+        path.write_text(dumps_report(upb_to_document(mixed)))
+        paths.append(str(path))
+    return paths[0], paths[1]
+
+
+class TestCanonicalFrames:
+    def test_scrambled_pair_33_gives_the_canonical_certificate(self, tmp_path):
+        # the pools run in canonical frames; on these files they used to
+        # miss the interior basin, report 0.04251266357950932 from the
+        # fidelity argmax, and label it "boundary"
+        source, target = scrambled_files(tmp_path, PAIR_33, 5)
+        code, report = run(tmp_path, "certify", "--source", source, "--target", target, "--seed", "3")
+        assert code == 0
+        assert abs(report["result"]["delta_min"] - PAIR_33_DELTA) <= 1e-12 * PAIR_33_DELTA
+        assert report["result"]["argmin_kind"] == "interior"
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_report_reruns_from_its_own_angles(self, tmp_path, seed):
+        # canonicalize(build_canonical(theta)) returns theta only up to its
+        # last bits for some triples, so the angles are compared to 1e-15
+        source, target = scrambled_files(tmp_path, PAIR_33, seed)
+        small = ["--restarts", "12", "--budget", "600", "--seed", "3"]
+        _, first = run(tmp_path, "certify", "--source", source, "--target", target, *small)
+        first = first["result"]
+        specs = ["canonical:" + ",".join(map(repr, first[k])) for k in ("source_angles", "target_angles")]
+        _, again = run(tmp_path, "certify", "--source", specs[0], "--target", specs[1], *small)
+        again = again["result"]
+        for key in ("source_angles", "target_angles"):
+            assert np.abs(np.subtract(first.pop(key), again.pop(key))).max() <= 1e-15
+        assert first == again
 
 
 class TestReproducibility:

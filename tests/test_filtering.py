@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_local_filter, random_separable, random_state, trace_distance
+from conftest import PAIR_33, PAIR_33_DELTA, random_local_filter, random_separable, random_state, trace_distance
 from upbkit import CanonicalAngles, DensityMatrix, build_canonical, fidelity, filtering
 from upbkit.filtering import (
     ARGMIN_TIE_TOL,
@@ -31,6 +31,7 @@ from upbkit.filtering import (
     _apply_party,
     _ascent_sweep,
     _block_step,
+    _canonical_frame,
     _collapsed,
     _fidelity_at,
     _interior_starts,
@@ -56,7 +57,7 @@ from upbkit.product_search import (
     find_product_vectors,
 )
 from upbkit.serialize import InputError
-from upbkit.upb import perp_qubit, state_of
+from upbkit.upb import canonicalize, perp_qubit, scrambled, state_of
 
 # regression constants recorded at first computation (deterministic seeds)
 WITNESS_AT_SOURCE = 0.07199523679041778
@@ -68,14 +69,11 @@ PRODUCT_MINIMUM = 0.027555901447727
 # the torus of real qubit states, polished with mpmath at 60 digits
 PRODUCT_MINIMUM_DIGITS = "0.0275559014477268871719631889097"
 
-# default_rng(77) pair 33: its witness infimum is an interior minimum below
-# the product-state minimum, which few restarts reach
-PAIR_33 = (
-    (0.35155584690440755, 0.932752259065921, 0.6944000128576957),
-    (1.270951206992894, 1.0246653369959153, 1.308131448318956),
-)
+# PAIR_33 (conftest): its interior and product-state minima, and its
+# certificate's fidelity_max from canonical inputs at GapSearchConfig(seed=3)
 PAIR_33_INTERIOR_MINIMUM = 0.0421852911
 PAIR_33_PRODUCT_MINIMUM = 0.0455631996
+PAIR_33_FIDELITY = 0.9785128187307979
 # default_rng(77) pair 3: at seed 3 its interior and boundary minima are
 # bitwise equal, a rounding tie
 PAIR_3 = (
@@ -931,11 +929,56 @@ class TestOptimizers:
 
 class TestCertify:
     def test_equivalent_pair_rejected(self, shifts_class_upb):
-        from upbkit.upb import scrambled
-
         other, _, _ = scrambled(shifts_class_upb, np.random.default_rng(53))
         with pytest.raises(InputError, match="^source and target are equivalent; the gap is undefined$"):
             certify_gap(shifts_class_upb, other, FAST)
+
+    @pytest.mark.parametrize("triple", [
+        (np.pi / 2,) * 3, (np.pi / 3,) * 3, (2.2, 0.7, 1.4), (1, 2, 0.5), (0.3, 2.9, 1.7), *PAIR_33,
+    ])
+    def test_canonical_inputs_keep_their_frame(self, triple):
+        # so the bench's and the named pairs' certificates keep their bytes;
+        # all but PAIR_33's source also round-trip through canonicalize
+        upb = build_canonical(CanonicalAngles(*triple))
+        canon = canonicalize(upb)
+        assert _canonical_frame(upb, canon) is upb
+        if triple != PAIR_33[0]:
+            assert canon[0].as_tuple() == tuple(map(float, triple))
+
+    def test_scrambled_input_is_rebuilt_in_its_canonical_frame(self, third_class_upb):
+        mixed, _, _ = scrambled(third_class_upb, np.random.default_rng(5))
+        canon = canonicalize(mixed)
+        frame = _canonical_frame(mixed, canon)
+        rebuilt = build_canonical(canon[0])
+        assert all(np.array_equal(a.tensor, b.tensor) for a, b in zip(frame.members, rebuilt.members))
+
+    @pytest.mark.parametrize("above, kind", [(1e-3, "interior"), (ARGMIN_TIE_TOL / 2, "boundary")])
+    def test_fold_in_that_sets_delta_is_labelled_interior(
+        self, monkeypatch, shifts_class_upb, third_class_upb, above, kind
+    ):
+        # the witness at the fidelity argmax is an interior orbit point: when
+        # it lies more than ARGMIN_TIE_TOL below the witness pools' minimum
+        # it sets delta_min and the label
+        overlap = certify_gap(shifts_class_upb, third_class_upb, FAST).span_overlap_at_argmax
+        pools = (overlap + above, "boundary", [overlap + above], [overlap + above])
+        monkeypatch.setattr(filtering, "minimize_span_overlap", lambda *args: pools)
+        cert = certify_gap(shifts_class_upb, third_class_upb, FAST)
+        assert cert.delta_min == cert.span_overlap_at_argmax == overlap
+        assert cert.argmin_kind == kind
+
+    @pytest.mark.parametrize("scramble", [False, True], ids=["canonical", "scrambled"])
+    def test_identity_restart_carries_pair_33(self, scramble):
+        # restart 0 alone, the equivalence map at the diagonal in canonical
+        # frames, reaches the 200-restart certificate; from scrambled input
+        # it used to reach neither
+        rng = np.random.default_rng(5)
+        source, target = (build_canonical(CanonicalAngles(*a)) for a in PAIR_33)
+        if scramble:
+            source, target = (scrambled(u, rng)[0] for u in (source, target))
+        cert = certify_gap(source, target, GapSearchConfig(restarts=1, seed=3))
+        assert abs(cert.delta_min - PAIR_33_DELTA) <= 1e-12 * PAIR_33_DELTA
+        assert cert.argmin_kind == "interior"
+        assert abs(cert.fidelity_max - PAIR_33_FIDELITY) <= 1e-9
 
     def test_certificate_fields(self, shifts_class_upb, third_class_upb):
         cert = certify_gap(shifts_class_upb, third_class_upb, FAST)
