@@ -52,7 +52,11 @@ class _Parser(argparse.ArgumentParser):
 def load_upb_spec(spec: str):
     """A UPB from ``canonical:tA,tB,tC``, a bundled name, or a JSON file path."""
     if spec.startswith("canonical:"):
-        return upb_from_document({"canonical": spec[len("canonical:"):].split(",")})
+        try:
+            angles = [float(a) for a in spec[len("canonical:"):].split(",")]
+        except ValueError as exc:
+            raise InputError(f"canonical angles must be numbers: {exc}") from exc
+        return upb_from_document({"canonical": angles})
     if spec in qutrit.BUNDLED:
         return qutrit.bundled_upb(spec)
     try:
@@ -74,7 +78,7 @@ def _parse_partition(text: str | None):
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(grid_resolution=args.grid, residual_tol=args.tol, seed=args.seed)
+    return SearchConfig(grid_resolution=args.grid, seed=args.seed)
 
 
 def _hit_document(hit) -> dict:
@@ -103,14 +107,11 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     def add_search_flags(p):
         p.add_argument("--grid", type=int, default=SearchConfig().grid_resolution,
                        help="search resolution: resolution^2 random starts per complex "
                             "dimension of the local states")
-        p.add_argument("--tol", type=float, default=SearchConfig().residual_tol,
-                       help="acceptance residual for product-vector hits")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("build", help="canonical UPB from an angle triple")
@@ -145,7 +146,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", required=True)
     p.add_argument("--restarts", type=int, default=GapSearchConfig().restarts)
     p.add_argument("--budget", type=int, default=GapSearchConfig().budget)
-    p.add_argument("--slack", type=float, default=GapSearchConfig().slack)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_common(p)
 
@@ -222,7 +222,7 @@ def _run_search_pv(args):
 
 def _run_certify(args):
     source, target = load_upb_spec(args.source), load_upb_spec(args.target)
-    config = GapSearchConfig(restarts=args.restarts, budget=args.budget, seed=args.seed, slack=args.slack)
+    config = GapSearchConfig(restarts=args.restarts, budget=args.budget, seed=args.seed)
     cert = certify_gap(source, target, config)
     return (EXIT_OK if cert.consistent else EXIT_NEGATIVE), cert.to_document()
 
@@ -251,17 +251,8 @@ _RUNNERS = {
 }
 
 
-def _config_document(args) -> dict:
-    skip = {"out", "format"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-
-
 def _emit(args, report: dict) -> None:
-    if args.format == "json":
-        text = dumps_report(report)
-    else:
-        lines = [f"{k}: {v}" for k, v in sorted(report["result"].items()) if not isinstance(v, (list, dict))]
-        text = "\n".join([f"# {report['config']['subcommand']}"] + lines) + "\n"
+    text = dumps_report(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -279,7 +270,7 @@ def main(argv=None) -> int:
         code, result = _RUNNERS[args.subcommand](args)
         report = {
             "schema": SCHEMA_VERSION,
-            "config": _config_document(args),
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "out"},
             "result": result,
             "exit_code": code,
         }

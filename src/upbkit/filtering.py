@@ -116,6 +116,8 @@ BOUNDARY_BUDGET = 3000  # the probe's budget: up to BOUNDARY_BUDGET // 12 sweeps
 # the argmin is labelled interior only when the interior minimum lies more
 # than this below the boundary's; closer minima are a rounding tie
 ARGMIN_TIE_TOL = 1e-12
+# a certificate is consistent when fidelity_max <= 1 - delta_min/2 + this
+CONSISTENCY_SLACK = 1e-9
 
 
 def _top_gram_eigenvalue(filters: Sequence[LocalFilter], scales) -> float:
@@ -209,23 +211,6 @@ class SeparableSuperoperator:
         return [f.operator * s for f, s in zip(self.filters, self.scales)]
 
 
-def _normalized(dims, out: np.ndarray) -> tuple[DensityMatrix | None, float]:
-    """``(out / p, p)`` with ``p = tr(out)``; ``(None, p)`` below the
-    probability floor, where the output state is undefined."""
-    p = float(out.trace().real)
-    if p <= PROBABILITY_FLOOR:
-        return None, max(p, 0.0)
-    # X rho X^dag is PSD exactly; dividing by a small p amplifies kernel
-    # rounding, so any negativity here is noise and is projected away
-    out = (out + out.conj().T) / (2 * p)
-    w, v = np.linalg.eigh(out)
-    if w.min() < -1e-12:
-        w = np.clip(w, 0.0, None)
-        out = (v * w) @ v.conj().T
-        out = (out + out.conj().T) / (2 * out.trace().real)
-    return DensityMatrix(dims, out), p
-
-
 def apply_filter(x: LocalFilter, rho: DensityMatrix) -> tuple[DensityMatrix | None, float]:
     """``(X rho X^dag / p, p)`` with ``p = tr(X rho X^dag)``.
 
@@ -237,11 +222,24 @@ def apply_filter(x: LocalFilter, rho: DensityMatrix) -> tuple[DensityMatrix | No
 
 
 def apply_separable(e: SeparableSuperoperator, rho: DensityMatrix) -> tuple[DensityMatrix | None, float]:
-    """Normalized output of the superoperator plus its success probability."""
-    total = np.zeros_like(rho.matrix)
+    """``(out / p, p)`` with ``out`` the superoperator's output and ``p =
+    tr(out)`` its success probability; ``(None, p)`` below the probability
+    floor, where the output state is undefined."""
+    out = np.zeros_like(rho.matrix)
     for op in e.kraus_operators():
-        total = total + op @ rho.matrix @ op.conj().T
-    return _normalized(rho.dims, total)
+        out = out + op @ rho.matrix @ op.conj().T
+    p = float(out.trace().real)
+    if p <= PROBABILITY_FLOOR:
+        return None, max(p, 0.0)
+    # X rho X^dag is PSD exactly; dividing by a small p amplifies kernel
+    # rounding, so any negativity here is noise and is projected away
+    out = (out + out.conj().T) / (2 * p)
+    w, v = np.linalg.eigh(out)
+    if w.min() < -1e-12:
+        w = np.clip(w, 0.0, None)
+        out = (v * w) @ v.conj().T
+        out = (out + out.conj().T) / (2 * out.trace().real)
+    return DensityMatrix(rho.dims, out), p
 
 
 def span_overlap(target: UPB, rho: DensityMatrix) -> float:
@@ -252,20 +250,6 @@ def span_overlap(target: UPB, rho: DensityMatrix) -> float:
     """
     value = float(np.einsum("ij,ji->", target.span_projector, rho.matrix).real)
     return min(max(value, 0.0), 1.0)
-
-
-def _boundary_coefficients(upb: UPB, member: int) -> np.ndarray:
-    """Per party, the source state's weight ``<S'|rho|S'>`` on the member with
-    that party's factor flipped to its perpendicular."""
-    rho = state_of(upb).matrix
-    member_factors = upb.members[member].factors
-    coeffs = []
-    for party in range(3):
-        flipped = list(member_factors)
-        flipped[party] = perp_qubit(member_factors[party])
-        probe = kron_all(flipped)
-        coeffs.append(float((probe.conj() @ rho @ probe).real))
-    return np.array(coeffs)
 
 
 def boundary_limit(
@@ -296,11 +280,14 @@ def boundary_limit(
     perturbations = [np.asarray(q, dtype=complex).reshape(2) for q in perturbations]
     targets = [t / np.linalg.norm(t) for t in targets]
     perturbations = [q / np.linalg.norm(q) for q in perturbations]
-    coeffs = _boundary_coefficients(upb, member)
+    factors, rho = upb.members[member].factors, state_of(upb).matrix
     out = np.zeros((8, 8), dtype=complex)
     norm = 0.0
     for party in range(3):
-        coeff = coeffs[party] * weights[party]
+        flipped = list(factors)
+        flipped[party] = perp_qubit(factors[party])
+        probe = kron_all(flipped)
+        coeff = float((probe.conj() @ rho @ probe).real) * weights[party]
         mixture_factors = list(targets)
         mixture_factors[party] = perturbations[party]
         psi = kron_all(mixture_factors)
@@ -314,23 +301,21 @@ def boundary_limit(
 
 @dataclass(frozen=True)
 class GapSearchConfig:
-    """Multistart budget of the interior gap pools and the ``slack`` of the
-    consistency flag: ``restarts`` restarts from ``seed`` of up to ``budget
-    // 48`` sweeps each (the compass search's sweep count at 24 parameters,
-    which the budgets were set for).  The module docstring has the pools."""
+    """Multistart budget of the interior gap pools: ``restarts`` restarts
+    from ``seed`` of up to ``budget // 48`` sweeps each (the compass
+    search's sweep count at 24 parameters, which the budgets were set for).
+    The module docstring has the pools; the consistency flag's slack is the
+    constant ``CONSISTENCY_SLACK``."""
 
     restarts: int = 200
     budget: int = 5000
     seed: int = DEFAULT_SEED
-    slack: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1 or self.budget < 100:
             raise InputError("need a positive restart count and a budget of at least 100")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
-        if not 0 <= self.slack < np.inf:
-            raise InputError("slack must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -343,7 +328,7 @@ class GapCertificate:
     outcome may also mix filters), recorded with the optimizer's ``config``
     so runs are reproducible.  ``epsilon = delta_min/2`` via the square-root
     chain, and the consistency flag asserts ``fidelity_max <= 1 - epsilon +
-    config.slack``.
+    CONSISTENCY_SLACK``.
     """
 
     status = "empirical"
@@ -367,7 +352,7 @@ class GapCertificate:
 
     @property
     def consistent(self) -> bool:
-        return self.fidelity_max <= 1.0 - self.epsilon + self.config.slack
+        return self.fidelity_max <= 1.0 - self.epsilon + CONSISTENCY_SLACK
 
     def to_document(self) -> dict:
         return {
@@ -377,7 +362,7 @@ class GapCertificate:
             "delta_min": self.delta_min,
             "fidelity_max": self.fidelity_max,
             "epsilon": self.epsilon,
-            "slack": self.config.slack,
+            "slack": CONSISTENCY_SLACK,
             "consistent": self.consistent,
             "argmin_kind": self.argmin_kind,
             "chain": {

@@ -31,6 +31,8 @@ from .serialize import InputError
 DEFAULT_SEED = 101
 # two unit factors are the same state up to phase when |<a|b>| > 1 - DEDUP_TOL
 DEDUP_TOL = 1e-6
+# a converged search start is a hit when its residual is at most this
+RESIDUAL_TOL = 1e-9
 # rank decisions of is_extendible: a factor this close to its group's span is
 # dependent, one farther than RANK_INDEPENDENT_TOL independent
 RANK_DEPENDENT_TOL = 1e-10
@@ -47,20 +49,17 @@ class SearchConfig:
     drawn from ``seed``: resolution^2 per complex dimension ``d_g - 1`` of
     each group's states.  Each start runs at most ``max_iterations`` sweeps
     of the descent, fewer once it has converged, and counts as a hit once
-    its residual is at most ``residual_tol``.  Hits are deduplicated up to
-    global phase at the fixed ``DEDUP_TOL``.
+    its residual is at most the fixed ``RESIDUAL_TOL``.  Hits are
+    deduplicated up to global phase at the fixed ``DEDUP_TOL``.
     """
 
     grid_resolution: int = 16
-    residual_tol: float = 1e-9
     max_iterations: int = 60
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.grid_resolution < 8:
             raise InputError("grid_resolution must be at least 8")
-        if not 0 < self.residual_tol < np.inf:
-            raise InputError("residual_tol must be positive and finite")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be positive")
         if self.seed < 0:
@@ -289,7 +288,7 @@ def find_product_vectors(
     *found, weight = _sweeps((*starts, np.full(n_starts, np.inf)), config.max_iterations,
                              _descent_sweep(subspace.perp_basis, dims, partition))
     resnorm = np.sqrt(weight)
-    converged = resnorm <= config.residual_tol
+    converged = resnorm <= RESIDUAL_TOL
     order = np.argsort(resnorm[converged], kind="stable")
     candidates = [f[converged][order] for f in found]
     hits: list[ProductVectorHit] = []
@@ -312,7 +311,7 @@ def find_product_vectors(
         if dup:
             continue
         res = residual(factors, subspace, partition)
-        if res > config.residual_tol:
+        if res > RESIDUAL_TOL:
             continue
         for f in factors:
             f.setflags(write=False)

@@ -14,16 +14,21 @@ from typing import Any
 
 import numpy as np
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def complex_to_pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _is_a(x, types) -> bool:
+    """``isinstance(x, types)``, but never for a bool, which is an int to Python."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected [re, im] pair, got {pair!r}")
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(_is_a(x, (int, float)) for x in pair):
+        raise ValueError(f"expected [re, im] pair of numbers, got {pair!r}")
     z = complex(float(pair[0]), float(pair[1]))
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite value in {pair!r}")
@@ -62,8 +67,9 @@ def upb_from_document(doc: dict):
     whole CLI reports (the ``result`` of ``upbkit build``).
 
     Faults of the document itself (a ``dims`` that is not a non-empty list
-    of integers of at least 1, a factor that does not match ``dims``) and
-    canonical angles outside (0, pi) raise :class:`InputError`; a
+    of integers of at least 1, a factor that does not match ``dims``, an
+    angle or ``[re, im]`` entry that is not an int or float, never a bool)
+    and canonical angles outside (0, pi) raise :class:`InputError`; a
     well-formed document whose members are not an orthonormal family raises
     ``ValueError``.  The UPB's dims are its members'.
     """
@@ -77,17 +83,15 @@ def upb_from_document(doc: dict):
         angles = doc["canonical"]
         if not isinstance(angles, (list, tuple)) or len(angles) != 3:
             raise InputError("canonical shorthand requires three angles")
-        try:
-            angles = [float(a) for a in angles]
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"canonical angles must be numbers: {exc}") from exc
-        return build_canonical(CanonicalAngles(*angles))
+        if not all(_is_a(a, (int, float)) for a in angles):
+            raise InputError(f"canonical angles {angles!r} must be numbers")
+        return build_canonical(CanonicalAngles(*(float(a) for a in angles)))
     try:
         dims = doc["dims"]
         members = [[vector_from_lists(f) for f in raw] for raw in doc["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed UPB document: {exc}") from exc
-    if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+    if not isinstance(dims, list) or not all(_is_a(d, int) for d in dims):
         raise InputError(f"dims {dims!r} must be a list of integers")
     if not dims or min(dims) < 1:
         raise InputError(f"dims {dims} must be a non-empty list of positive sizes")

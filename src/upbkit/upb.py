@@ -300,7 +300,8 @@ class ValidationReport:
 def validate(upb: UPB) -> ValidationReport:
     """Check member count and unextendibility, and measure orthonormality.
 
-    Productness and orthonormality need no check: :class:`ProductState`
+    A three-qubit UPB has four members; any other UPB has fewer members than
+    its space's dimension, as it leaves a nonzero complement.  Productness and orthonormality need no check: :class:`ProductState`
     enforces the first and :class:`UPB` the second (within 1e-10), so
     ``orthonormality_error`` is reported as a number only.  The
     unextendibility flag is exact (:func:`is_extendible` decides it from the
@@ -308,7 +309,7 @@ def validate(upb: UPB) -> ValidationReport:
     within rounding raises :class:`~upbkit.product_search.RankAmbiguityError`.
     """
     orth = orthonormality_error(np.array([m.tensor for m in upb.members]))
-    count_ok = upb.n == 4 if upb.dims == (2, 2, 2) else True
+    count_ok = upb.n == 4 if upb.dims == (2, 2, 2) else upb.n < upb.total_dim
     hit = is_extendible(upb.members)
     return ValidationReport(
         dims=upb.dims,

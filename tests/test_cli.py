@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import upbkit
 from upbkit import cli, qutrit
 from upbkit import upb as upb_module
 from upbkit.cli import main
-from upbkit.filtering import GapSearchConfig
+from upbkit.filtering import CONSISTENCY_SLACK, GapSearchConfig
 from upbkit.linalg import orthonormality_error
 from upbkit.product_search import SearchConfig, Subspace, find_product_vectors, normalize_partition
 from upbkit.serialize import InputError, dumps_report, upb_from_document, upb_to_document
@@ -44,14 +45,19 @@ def partnerless_file(tmp_path):
     return str(path)
 
 
-@pytest.fixture()
-def full_basis_file(tmp_path):
-    # the eight-member computational basis spans the whole space
-    ket = np.eye(2, dtype=complex)
-    path = tmp_path / "full.json"
-    family = UPB([ProductState([a, b, c]) for a in ket for b in ket for c in ket])
+def computational_basis_file(tmp_path, dims) -> str:
+    """The computational basis of ``dims`` as a UPB file: a complete product
+    basis, which spans the whole space."""
+    kets = [np.eye(d, dtype=complex) for d in dims]
+    path = tmp_path / ("full" + "x".join(map(str, dims)) + ".json")
+    family = UPB([ProductState(list(m)) for m in itertools.product(*kets)])
     path.write_text(dumps_report(upb_to_document(family)))
     return str(path)
+
+
+@pytest.fixture()
+def full_basis_file(tmp_path):
+    return computational_basis_file(tmp_path, (2, 2, 2))
 
 
 def nudged_file(tmp_path, upb) -> str:
@@ -92,7 +98,7 @@ class TestExitCodes:
     def test_validate_upb_file(self, tmp_path, shifts_file):
         code, report = run(tmp_path, "validate", "--upb", shifts_file)
         assert code == 0
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["result"]["passed"] is True
         assert set(report["result"]) == {
             "dims", "n_members", "orthonormality_error", "member_count_ok",
@@ -107,6 +113,26 @@ class TestExitCodes:
         code, report = run(tmp_path, "validate", "--upb", str(path))
         assert code == 1
         assert report["result"]["unextendible"] is False
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 2)])
+    def test_validate_complete_product_basis_fails(self, tmp_path, dims):
+        # a UPB leaves a nonzero complement, so a complete basis is none
+        code, report = run(tmp_path, "validate", "--upb", computational_basis_file(tmp_path, dims))
+        assert code == 1
+        assert report["result"]["member_count_ok"] is False
+        assert report["result"]["unextendible"] is True
+
+    @pytest.mark.parametrize("flag", [["--slack", "1e-9"], ["--tol", "1e-9"], ["--format", "text"]])
+    def test_retired_flags_are_usage_errors(self, flag, capsys):
+        argvs = (
+            ["build", "--angles", "1,2,0.5"], ["validate", "--upb", SHIFTS_CLASS],
+            ["state", "--upb", SHIFTS_CLASS], ["equiv", "--a", SHIFTS_CLASS, "--b", THIRD_CLASS],
+            ["graphs"], ["search-pv", "--upb", SHIFTS_CLASS], ["qutrit-extras", "--upb", "tiles"],
+            ["certify", "--source", SHIFTS_CLASS, "--target", THIRD_CLASS],
+        )
+        for argv in argvs:
+            assert main(argv + flag) == 3
+            assert capsys.readouterr().err == f"usage error: unrecognized arguments: {' '.join(flag)}\n"
 
     def test_certify_equivalent_pair_is_usage_error(self, shifts_file):
         code = main(["certify", "--source", SHIFTS_CLASS, "--target", shifts_file])
@@ -143,6 +169,11 @@ class TestExitCodes:
         fractional, text, boolean = (
             {**upb_to_document(shifts()), "dims": dims} for dims in ([2.9, 2, 2], ["2", 2, 2], [True, 2, 2])
         )
+        # angles and [re, im] entries are JSON numbers, not booleans or
+        # strings that float() reads as numbers
+        bool_pair, text_pair = upb_to_document(shifts()), upb_to_document(shifts())
+        bool_pair["members"][0][0][0] = [True, False]
+        text_pair["members"][0][0][0] = ["1", "0"]
         docs = (
             {"dims": [2, 2, 2]},
             [1, 2],
@@ -157,6 +188,9 @@ class TestExitCodes:
             fractional,
             text,
             boolean,
+            {"canonical": [True, 1, 1]},
+            bool_pair,
+            text_pair,
         )
         for i, doc in enumerate(docs):
             path = tmp_path / f"not_a_upb{i}.json"
@@ -224,20 +258,18 @@ class TestInputErrors:
         lambda: canonicalize(build_canonical(CanonicalAngles(1e-12, 1.0, 1.0))),
         lambda: canonicalize(partnerless()),
         lambda: SearchConfig(grid_resolution=5),
-        lambda: SearchConfig(residual_tol=float("nan")),
         lambda: SearchConfig(max_iterations=0),
         lambda: SearchConfig(seed=-1),
         lambda: normalize_partition([(0,), (0, 1)], 2),
         lambda: normalize_partition([(0, 1, 2)], 3),
         lambda: GapSearchConfig(budget=99),
         lambda: GapSearchConfig(seed=-1),
-        lambda: GapSearchConfig(slack=float("inf")),
         lambda: qutrit.extra_product_vectors(shifts()),
         lambda: find_product_vectors(Subspace((2, 2), np.zeros((4, 0)))),
     ], ids=[
         "angles", "canonicalize-kind", "canonicalize-boundary", "canonicalize-partner",
-        "grid", "tol", "iterations", "search-seed", "partition-cover", "partition-groups",
-        "budget", "gap-seed", "slack", "qutrit-parties", "zero-subspace",
+        "grid", "iterations", "search-seed", "partition-cover", "partition-groups",
+        "budget", "gap-seed", "qutrit-parties", "zero-subspace",
     ])
     def test_library_check_raises_input_error(self, check):
         with pytest.raises(InputError):
@@ -339,7 +371,10 @@ class TestReports:
         assert report["result"]["consistent"] is True
         assert report["result"]["delta_min"] > 1e-3
         assert report["config"]["restarts"] == 12
+        # the slack is the constant, so the config does not carry it
+        assert set(report["config"]) == {"subcommand", "source", "target", "restarts", "budget", "seed"}
         result = report["result"]
+        assert result["slack"] == CONSISTENCY_SLACK
         assert set(result) == {
             "status", "source_angles", "target_angles", "delta_min", "fidelity_max", "epsilon",
             "slack", "consistent", "argmin_kind", "chain", "optimizer",
@@ -355,12 +390,6 @@ class TestReports:
         assert result["optimizer"]["boundary_restarts"] == 64
         assert result["optimizer"]["boundary_budget"] == 3000
         assert len(result["optimizer"]["boundary_optima"]) == 64
-
-    def test_text_format(self, tmp_path, capsys):
-        code = main(["equiv", "--a", SHIFTS_CLASS, "--b", SHIFTS_CLASS, "--format", "text"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "equivalent: True" in captured.out
 
 
 def scrambled_files(tmp_path, pair, seed) -> tuple[str, str]:

@@ -13,6 +13,7 @@ from upbkit.filtering import (
     ARGMIN_TIE_TOL,
     BOUNDARY_BUDGET,
     BOUNDARY_STARTS,
+    CONSISTENCY_SLACK,
     GapSearchConfig,
     LocalFilter,
     SeparableSuperoperator,
@@ -986,7 +987,7 @@ class TestCertify:
         assert cert.delta_min > 1e-3
         assert cert.epsilon == cert.delta_min / 2
         assert cert.consistent
-        assert cert.fidelity_max <= 1 - cert.epsilon + cert.config.slack
+        assert cert.fidelity_max <= 1 - cert.epsilon + CONSISTENCY_SLACK
         assert cert.span_overlap_at_argmax >= cert.delta_min
         assert cert.perp_weight_at_argmax <= 1 - cert.delta_min + 1e-12
         assert cert.perp_root_trace_at_argmax <= 2 * math.sqrt(1 - cert.delta_min) + 1e-9

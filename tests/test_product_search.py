@@ -415,8 +415,6 @@ class TestConfigAndTypes:
         with pytest.raises(ValueError):
             SearchConfig(grid_resolution=4)
         with pytest.raises(ValueError):
-            SearchConfig(residual_tol=-1)
-        with pytest.raises(ValueError):
             SearchConfig(max_iterations=0)
 
     def test_partition_validation(self):
